@@ -129,6 +129,54 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+// Hit-heavy LLC traffic: a working set of 12 lines per set stays resident in
+// the default 16-way cache, so every access hits at a random recency
+// position and the cost measured is the tag scan plus the move-to-front
+// shift.
+void BM_CacheAccessHits(benchmark::State& state) {
+  sim::LastLevelCache cache(sim::CacheConfig{});
+  const std::uint64_t working_set =
+      static_cast<std::uint64_t>(cache.config().sets) * 12;
+  Rng rng(9);
+  std::vector<LineAddr> addrs(4096);
+  for (LineAddr& a : addrs) a = rng.UniformInt(working_set);
+  for (LineAddr a = 0; a < working_set; ++a) cache.Access(1, a);
+  for (auto _ : state) {
+    for (const LineAddr a : addrs) {
+      benchmark::DoNotOptimize(cache.Access(1, a));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(addrs.size()));
+}
+BENCHMARK(BM_CacheAccessHits);
+
+// The LLC-cleansing primitive: sweeps 16 sets with two alternating groups of
+// `ways` lines each, so every access misses on a full set and evicts its
+// least recently used line — the eviction path the cleansing attack drives.
+void BM_CacheCleansingSweep(benchmark::State& state) {
+  sim::LastLevelCache cache(sim::CacheConfig{});
+  const std::uint64_t sets = cache.config().sets;
+  const std::uint64_t ways = cache.config().ways;
+  std::vector<LineAddr> addrs;
+  for (std::uint64_t group = 0; group < 2; ++group) {
+    for (std::uint64_t set = 0; set < 16; ++set) {
+      for (std::uint64_t w = 0; w < ways; ++w) {
+        addrs.push_back((group * ways + w) * sets + set);
+      }
+    }
+  }
+  for (const LineAddr a : addrs) cache.Access(2, a);
+  for (auto _ : state) {
+    for (const LineAddr a : addrs) {
+      benchmark::DoNotOptimize(cache.Access(2, a));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(addrs.size()));
+}
+BENCHMARK(BM_CacheCleansingSweep);
+
 // The same hot path with a telemetry handle attached but the profiler left
 // DISABLED (the default) — the documented "observability off" configuration.
 // Regression guard for the single-branch cost claim: this must stay within

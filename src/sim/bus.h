@@ -14,10 +14,9 @@
 #include <cstdint>
 
 #include "common/types.h"
+#include "sim/attribution.h"
 
 namespace sds::sim {
-
-class AttributionLedger;
 
 struct BusConfig {
   // Transaction slots available per tick (aggregate bus bandwidth).
@@ -41,19 +40,41 @@ struct BusStats {
 
 class MemoryBus {
  public:
-  explicit MemoryBus(const BusConfig& config);
+  explicit MemoryBus(const BusConfig& config)
+      : config_(config), remaining_(config.slots_per_tick) {}
 
   // Starts a new tick, refilling the slot budget.
-  void BeginTick();
+  void BeginTick() {
+    remaining_ = config_.slots_per_tick;
+    saturation_recorded_ = false;
+  }
 
   // Attempts to reserve `slots` in the current tick on behalf of `owner`.
   // On failure nothing is consumed and the request counts as stalled; with
   // a ledger attached, success records the owner's occupancy and failure
   // charges the queue delay to the owners that consumed the budget.
-  bool TryConsume(OwnerId owner, std::uint32_t slots);
+  bool TryConsume(OwnerId owner, std::uint32_t slots) {
+    if (slots > remaining_) {
+      ++stats_.stalled_requests;
+      if (!saturation_recorded_) {
+        ++stats_.saturated_ticks;
+        saturation_recorded_ = true;
+      }
+      if (ledger_ != nullptr) ledger_->RecordBusStall(owner);
+      return false;
+    }
+    remaining_ -= slots;
+    stats_.slots_consumed += slots;
+    if (ledger_ != nullptr) ledger_->RecordBusOccupancy(owner, slots);
+    return true;
+  }
 
   // Attempts to reserve an atomic lock window for `owner`.
-  bool TryAtomicLock(OwnerId owner);
+  bool TryAtomicLock(OwnerId owner) {
+    if (!TryConsume(owner, config_.atomic_lock_slots)) return false;
+    ++stats_.atomic_locks;
+    return true;
+  }
 
   // Attaches the interference attribution ledger (nullptr detaches). The
   // only cost on the detached path is one null test per reservation.

@@ -1,7 +1,6 @@
 #include "sim/cache.h"
 
 #include "common/check.h"
-#include "sim/attribution.h"
 
 namespace sds::sim {
 
@@ -10,71 +9,24 @@ LastLevelCache::LastLevelCache(const CacheConfig& config) : config_(config) {
             "cache sets must be a power of two");
   SDS_CHECK(config.ways > 0, "cache needs at least one way");
   set_mask_ = config.sets - 1;
-  lines_.resize(static_cast<std::size_t>(config.sets) * config.ways);
-}
-
-LastLevelCache::Line* LastLevelCache::FindLine(std::uint32_t set,
-                                               LineAddr addr) {
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == addr) return &base[w];
-  }
-  return nullptr;
-}
-
-const LastLevelCache::Line* LastLevelCache::FindLine(std::uint32_t set,
-                                                     LineAddr addr) const {
-  const Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == addr) return &base[w];
-  }
-  return nullptr;
-}
-
-CacheAccessResult LastLevelCache::Access(OwnerId owner, LineAddr addr) {
-  const std::uint32_t set = SetIndexOf(addr);
-  CacheAccessResult result;
-
-  if (Line* line = FindLine(set, addr)) {
-    line->lru = ++lru_clock_;
-    line->owner = owner;  // shared lines re-tag to the latest toucher
-    result.hit = true;
-    return result;
-  }
-
-  // Miss: fill into an invalid way, or evict the LRU way.
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  Line* victim = nullptr;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
-      break;
-    }
-  }
-  if (victim == nullptr) {
-    victim = base;
-    for (std::uint32_t w = 1; w < config_.ways; ++w) {
-      if (base[w].lru < victim->lru) victim = &base[w];
-    }
-    result.evicted_valid = true;
-    result.evicted_owner = victim->owner;
-    if (ledger_ != nullptr) ledger_->RecordEviction(owner, victim->owner);
-  }
-  victim->tag = addr;
-  victim->owner = owner;
-  victim->valid = true;
-  victim->lru = ++lru_clock_;
-  return result;
+  tags_.resize(total_lines());
+  owners_.resize(total_lines());
+  fill_.resize(config.sets);
 }
 
 bool LastLevelCache::Contains(LineAddr addr) const {
-  return FindLine(SetIndexOf(addr), addr) != nullptr;
+  const std::uint32_t set = SetIndexOf(addr);
+  const LineAddr* tags = &tags_[static_cast<std::size_t>(set) * config_.ways];
+  for (std::uint32_t w = 0; w < fill_[set]; ++w) {
+    if (tags[w] == addr) return true;
+  }
+  return false;
 }
 
 std::size_t LastLevelCache::CountOwnerLines(OwnerId owner) const {
   std::size_t count = 0;
-  for (const Line& line : lines_) {
-    if (line.valid && line.owner == owner) ++count;
+  for (std::uint32_t set = 0; set < config_.sets; ++set) {
+    count += OwnerLinesInSet(set, owner);
   }
   return count;
 }
@@ -82,17 +34,17 @@ std::size_t LastLevelCache::CountOwnerLines(OwnerId owner) const {
 std::uint32_t LastLevelCache::OwnerLinesInSet(std::uint32_t set,
                                               OwnerId owner) const {
   SDS_CHECK(set < config_.sets, "set index out of range");
-  const Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
+  const OwnerId* owners =
+      &owners_[static_cast<std::size_t>(set) * config_.ways];
   std::uint32_t count = 0;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].owner == owner) ++count;
+  for (std::uint32_t w = 0; w < fill_[set]; ++w) {
+    if (owners[w] == owner) ++count;
   }
   return count;
 }
 
 void LastLevelCache::Flush() {
-  for (Line& line : lines_) line.valid = false;
-  lru_clock_ = 0;
+  fill_.assign(fill_.size(), 0);
 }
 
 }  // namespace sds::sim

@@ -4,18 +4,35 @@
 // line-address ranges, their accesses contend for the same physical sets, and
 // the LLC cleansing attack's effect on victim miss counts EMERGES from actual
 // evictions rather than being injected. The default configuration scales the
-// paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way so that 600 virtual
-// seconds simulate in about a second of wall time; shapes are scale-free.
+// paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way; shapes are
+// scale-free. On a shared 4-vCPU Intel Xeon VM (RelWithDebInfo, g++ 12.2)
+// the perfbench scenarios run at about 10k (cleansing_kstest) and 26k
+// (buslock_sds) ticks per second, i.e. 600 virtual seconds in 2-6 s of host
+// time.
+//
+// Representation: each set keeps its lines in recency order, most recent
+// first, in two parallel arrays (tags_ and owners_, sets x ways each) plus a
+// per-set fill count. A hit at position p shifts slots [0, p) down by one and
+// puts the line at slot 0; a miss fills the next free slot (or, on a full
+// set, replaces the last slot — the least recently used line) and moves it to
+// the front. Move-to-front keeps exactly the order of last touch that global
+// LRU stamps would give, and which physical way holds a line is never
+// observable, so this is exact LRU.
+//
+// Invariant: the valid lines of a set are slots [0, fill_[set]); the empty
+// ways are always a suffix. Lines are only ever invalidated all at once, by
+// Flush(), so no hole can open inside the valid prefix.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/attribution.h"
 
 namespace sds::sim {
-
-class AttributionLedger;
 
 struct CacheConfig {
   // Number of sets; must be a power of two.
@@ -38,7 +55,32 @@ class LastLevelCache {
 
   // Performs a load of `addr` on behalf of `owner`: on hit refreshes LRU, on
   // miss fills the line (evicting the LRU way).
-  CacheAccessResult Access(OwnerId owner, LineAddr addr);
+  CacheAccessResult Access(OwnerId owner, LineAddr addr) {
+    const std::uint32_t set = SetIndexOf(addr);
+    const std::uint32_t ways = config_.ways;
+    LineAddr* tags = &tags_[static_cast<std::size_t>(set) * ways];
+    OwnerId* owners = &owners_[static_cast<std::size_t>(set) * ways];
+    std::uint32_t& fill = fill_[set];
+    CacheAccessResult result;
+
+    std::uint32_t pos = 0;
+    while (pos < fill && tags[pos] != addr) ++pos;
+    if (pos < fill) {
+      result.hit = true;  // a shared line re-tags to its latest toucher below
+    } else if (fill < ways) {
+      ++fill;
+    } else {
+      pos = ways - 1;
+      result.evicted_valid = true;
+      result.evicted_owner = owners[pos];
+      if (ledger_ != nullptr) ledger_->RecordEviction(owner, owners[pos]);
+    }
+    std::copy_backward(tags, tags + pos, tags + pos + 1);
+    std::copy_backward(owners, owners + pos, owners + pos + 1);
+    tags[0] = addr;
+    owners[0] = owner;
+    return result;
+  }
 
   // Attaches the interference attribution ledger (nullptr detaches). While
   // attached, every eviction of a valid line is recorded against the owner
@@ -70,20 +112,13 @@ class LastLevelCache {
   void Flush();
 
  private:
-  struct Line {
-    LineAddr tag = 0;
-    OwnerId owner = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-  };
-
-  Line* FindLine(std::uint32_t set, LineAddr addr);
-  const Line* FindLine(std::uint32_t set, LineAddr addr) const;
-
   CacheConfig config_;
   std::uint32_t set_mask_;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
-  std::uint64_t lru_clock_ = 0;
+  // sets * ways each, row-major by set; slot 0 of a set is its most recently
+  // used line (see the representation note above).
+  std::vector<LineAddr> tags_;
+  std::vector<OwnerId> owners_;
+  std::vector<std::uint32_t> fill_;      // valid lines per set
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
 };
 

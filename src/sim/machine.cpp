@@ -88,11 +88,6 @@ void Machine::InstrumentStall(OwnerId owner) {
   }
 }
 
-void Machine::RecordStall(OwnerId owner) {
-  ++counters_[owner].bus_stalls;
-  if (instrumented_) [[unlikely]] InstrumentStall(owner);
-}
-
 void Machine::InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
                              OwnerId evicted_owner, double latency) {
   t_dram_latency_->Observe(latency);
@@ -108,35 +103,6 @@ void Machine::InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
   }
 }
 
-AccessOutcome Machine::FinishAccess(OwnerId owner, LineAddr addr) {
-  SDS_DCHECK(owner < counters_.size(), "owner out of range");
-  OwnerCounters& ctr = counters_[owner];
-  ++ctr.llc_accesses;
-  const CacheAccessResult r = cache_.Access(owner, addr);
-  if (r.hit) return AccessOutcome::kHit;
-
-  ++ctr.llc_misses;
-  // The DRAM transfer needs extra bus slots. If the budget runs dry the fill
-  // still completes (the hardware would simply slip into the next interval),
-  // so the failure only registers as bus pressure.
-  bus_.TryConsume(owner, config_.bus.miss_extra_slots);
-  const double latency = dram_.Read();
-  ctr.dram_latency_ns += latency;
-  if (instrumented_) [[unlikely]] {
-    InstrumentMiss(owner, addr, r.evicted_valid, r.evicted_owner, latency);
-  }
-  return AccessOutcome::kMiss;
-}
-
-AccessOutcome Machine::Access(OwnerId owner, LineAddr addr) {
-  SDS_DCHECK(owner < counters_.size(), "owner out of range");
-  if (!bus_.TryConsume(owner, config_.bus.access_slots)) {
-    RecordStall(owner);
-    return AccessOutcome::kStalled;
-  }
-  return FinishAccess(owner, addr);
-}
-
 void Machine::InstrumentAtomic(OwnerId owner) {
   tel::Telemetry* t = config_.telemetry;
   if (t->tracer().enabled(tel::Layer::kSimBus)) {
@@ -144,17 +110,6 @@ void Machine::InstrumentAtomic(OwnerId owner) {
                                     "lock_window_open", owner)
                          .Num("slots", config_.bus.atomic_lock_slots));
   }
-}
-
-AccessOutcome Machine::AtomicAccess(OwnerId owner, LineAddr addr) {
-  SDS_DCHECK(owner < counters_.size(), "owner out of range");
-  if (!bus_.TryAtomicLock(owner)) {
-    RecordStall(owner);
-    return AccessOutcome::kStalled;
-  }
-  ++counters_[owner].atomic_ops;
-  if (instrumented_) [[unlikely]] InstrumentAtomic(owner);
-  return FinishAccess(owner, addr);
 }
 
 }  // namespace sds::sim

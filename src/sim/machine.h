@@ -75,12 +75,28 @@ class Machine {
   Tick now() const { return now_; }
 
   // A normal (non-atomic) memory load by `owner`.
-  AccessOutcome Access(OwnerId owner, LineAddr addr);
+  AccessOutcome Access(OwnerId owner, LineAddr addr) {
+    SDS_DCHECK(owner < counters_.size(), "owner out of range");
+    if (!bus_.TryConsume(owner, config_.bus.access_slots)) {
+      RecordStall(owner);
+      return AccessOutcome::kStalled;
+    }
+    return FinishAccess(owner, addr);
+  }
 
   // An atomic locked operation: reserves an exclusive bus lock window and
   // then performs the access. This is the primitive the bus locking attack
   // issues in a tight loop.
-  AccessOutcome AtomicAccess(OwnerId owner, LineAddr addr);
+  AccessOutcome AtomicAccess(OwnerId owner, LineAddr addr) {
+    SDS_DCHECK(owner < counters_.size(), "owner out of range");
+    if (!bus_.TryAtomicLock(owner)) {
+      RecordStall(owner);
+      return AccessOutcome::kStalled;
+    }
+    ++counters_[owner].atomic_ops;
+    if (instrumented_) [[unlikely]] InstrumentAtomic(owner);
+    return FinishAccess(owner, addr);
+  }
 
   const OwnerCounters& counters(OwnerId owner) const {
     SDS_DCHECK(owner < counters_.size(), "owner out of range");
@@ -102,8 +118,32 @@ class Machine {
   telemetry::Telemetry* telemetry() const { return config_.telemetry; }
 
  private:
-  AccessOutcome FinishAccess(OwnerId owner, LineAddr addr);
-  void RecordStall(OwnerId owner);
+  // The per-access chain (Access/AtomicAccess -> FinishAccess) is inline so
+  // an op costs no call across translation units; only the instrumentation
+  // branches below leave it.
+  AccessOutcome FinishAccess(OwnerId owner, LineAddr addr) {
+    OwnerCounters& ctr = counters_[owner];
+    ++ctr.llc_accesses;
+    const CacheAccessResult r = cache_.Access(owner, addr);
+    if (r.hit) return AccessOutcome::kHit;
+
+    ++ctr.llc_misses;
+    // The DRAM transfer needs extra bus slots. If the budget runs dry the
+    // fill still completes (the hardware would simply slip into the next
+    // interval), so the failure only registers as bus pressure.
+    bus_.TryConsume(owner, config_.bus.miss_extra_slots);
+    const double latency = dram_.Read();
+    ctr.dram_latency_ns += latency;
+    if (instrumented_) [[unlikely]] {
+      InstrumentMiss(owner, addr, r.evicted_valid, r.evicted_owner, latency);
+    }
+    return AccessOutcome::kMiss;
+  }
+
+  void RecordStall(OwnerId owner) {
+    ++counters_[owner].bus_stalls;
+    if (instrumented_) [[unlikely]] InstrumentStall(owner);
+  }
 
   // Cold instrumentation paths, out of line so the access fast path stays
   // compact. Only ever called when instrumented_ is true. Counter-style

@@ -83,8 +83,15 @@ void Hypervisor::ThrottleAllExcept(OwnerId protected_vm, Tick duration) {
                static_cast<double>(duration));
 }
 
+void Hypervisor::UpdateDropProbability() {
+  drop_probability_ =
+      1.0 - std::pow(1.0 - config_.monitor_load_fraction,
+                     static_cast<double>(active_monitors_));
+}
+
 void Hypervisor::AttachMonitor() {
   ++active_monitors_;
+  UpdateDropProbability();
   TraceEventVm("monitor_attach", -1, "active",
                static_cast<double>(active_monitors_));
 }
@@ -92,6 +99,7 @@ void Hypervisor::AttachMonitor() {
 void Hypervisor::DetachMonitor() {
   SDS_CHECK(active_monitors_ > 0, "no monitor attached");
   --active_monitors_;
+  UpdateDropProbability();
   TraceEventVm("monitor_detach", -1, "active",
                static_cast<double>(active_monitors_));
 }
@@ -103,17 +111,8 @@ void Hypervisor::RunTick() {
   const bool throttling = throttle_remaining_ > 0;
   if (throttling) --throttle_remaining_;
 
-  const double drop_probability =
-      1.0 - std::pow(1.0 - config_.monitor_load_fraction,
-                     static_cast<double>(active_monitors_));
-
   // Collect the VMs that may execute this tick.
-  struct Slot {
-    VirtualMachine* vm;
-    bool exhausted = false;  // no more ops this tick (or stalled on the bus)
-  };
-  std::vector<Slot> slots;
-  slots.reserve(vms_.size());
+  slots_.clear();
   for (const auto& v : vms_) {
     Tick& per_vm = vm_throttle_remaining_[v->id() - 1];
     const bool vm_throttled_now = per_vm > 0;
@@ -122,12 +121,12 @@ void Hypervisor::RunTick() {
     if (throttling && v->id() != throttle_protected_) continue;
     if (vm_throttled_now) continue;
     v->workload().BeginTick(machine_.now());
-    slots.push_back(Slot{v.get()});
+    slots_.push_back(Slot{v.get()});
   }
   if (t_runnable_vms_) {
-    t_runnable_vms_->Set(static_cast<double>(slots.size()));
+    t_runnable_vms_->Set(static_cast<double>(slots_.size()));
   }
-  if (slots.empty()) return;
+  if (slots_.empty()) return;
 
   std::uint64_t ops_this_tick = 0;
   std::uint64_t dropped_this_tick = 0;
@@ -135,12 +134,12 @@ void Hypervisor::RunTick() {
   // Round-robin service in chunks, starting from a rotating offset.
   SDS_PROFILE_SPAN(prof_, span_schedule_);
   const std::size_t start =
-      static_cast<std::size_t>(machine_.now()) % slots.size();
-  std::size_t remaining = slots.size();
+      static_cast<std::size_t>(machine_.now()) % slots_.size();
+  std::size_t remaining = slots_.size();
   while (remaining > 0) {
     remaining = 0;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      Slot& slot = slots[(start + i) % slots.size()];
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      Slot& slot = slots_[(start + i) % slots_.size()];
       if (slot.exhausted) continue;
       Workload& w = slot.vm->workload();
       const OwnerId owner = slot.vm->id();
@@ -151,7 +150,7 @@ void Hypervisor::RunTick() {
           break;
         }
         ++ops_this_tick;
-        if (drop_probability > 0.0 && rng_.Bernoulli(drop_probability)) {
+        if (drop_probability_ > 0.0 && rng_.Bernoulli(drop_probability_)) {
           // Cycles stolen by the monitoring agent: the op is deferred and
           // does not execute this tick.
           ++monitor_dropped_ops_;

@@ -87,6 +87,14 @@ class Hypervisor {
  private:
   void TraceEventVm(const char* name, std::int64_t owner, const char* key,
                     double value);
+  // Recomputes drop_probability_ after active_monitors_ changed.
+  void UpdateDropProbability();
+
+  // A VM that may execute in the current tick.
+  struct Slot {
+    VirtualMachine* vm;
+    bool exhausted = false;  // no more ops this tick (or stalled on the bus)
+  };
 
   sim::Machine& machine_;
   HypervisorConfig config_;
@@ -97,7 +105,11 @@ class Hypervisor {
   OwnerId throttle_protected_ = 0;
   std::vector<Tick> vm_throttle_remaining_;
   int active_monitors_ = 0;
+  // Per-op deferral probability for active_monitors_ stacked monitors.
+  double drop_probability_ = 0.0;
   std::uint64_t monitor_dropped_ops_ = 0;
+  // RunTick's runnable set, kept as a member so its storage is reused.
+  std::vector<Slot> slots_;
 
   // Telemetry instrument slots (see sim::Machine for the wiring pattern).
   // "vm.tick" wraps the whole of RunTick; "vm.schedule" wraps the round-robin

@@ -80,7 +80,7 @@ TEST(AttributionTest, LedgerIsAPureObserver) {
         if (i % 11 == 0) {
           outcomes.push_back(m.AtomicAccess(2, addr));
         } else {
-          outcomes.push_back(m.Access(1 + (i % 3), addr));
+          outcomes.push_back(m.Access(static_cast<OwnerId>(1 + i % 3), addr));
         }
       }
     }

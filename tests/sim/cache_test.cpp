@@ -1,10 +1,12 @@
 #include "sim/cache.h"
 
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "sim/attribution.h"
 
 namespace sds::sim {
 namespace {
@@ -168,6 +170,204 @@ TEST(CacheTest, WorkingSetSmallerThanCacheAlwaysHitsEventually) {
   }
   EXPECT_LT(misses, 50);
 }
+
+
+TEST(CacheTest, HitRetagsSharedLineToLatestToucher) {
+  LastLevelCache cache(SmallCache(8, 4));
+  cache.Access(1, 0);
+  cache.Access(1, 8);
+  EXPECT_EQ(cache.OwnerLinesInSet(0, 1), 2u);
+  EXPECT_TRUE(cache.Access(2, 0).hit);
+  EXPECT_EQ(cache.OwnerLinesInSet(0, 1), 1u);
+  EXPECT_EQ(cache.OwnerLinesInSet(0, 2), 1u);
+  EXPECT_EQ(cache.CountOwnerLines(2), 1u);
+  // The re-tagged line is charged to its new owner when it is evicted.
+  cache.Access(3, 16);
+  cache.Access(3, 24);
+  cache.Access(3, 32);  // evicts 8, the LRU line, still owner 1's
+  const auto r = cache.Access(3, 40);  // evicts 0, now owner 2's
+  EXPECT_TRUE(r.evicted_valid);
+  EXPECT_EQ(r.evicted_owner, 2u);
+}
+
+TEST(CacheTest, ReplacementAfterFlushDependsOnlyOnPostFlushTouches) {
+  LastLevelCache cache(SmallCache(1, 2));
+  cache.Access(1, 0);
+  cache.Access(1, 1);  // before the flush, 0 is the LRU line
+  cache.Flush();
+  EXPECT_FALSE(cache.Access(1, 1).evicted_valid);
+  EXPECT_FALSE(cache.Access(1, 0).evicted_valid);  // now 1 is the LRU line
+  const auto r = cache.Access(1, 2);
+  EXPECT_TRUE(r.evicted_valid);
+  EXPECT_TRUE(cache.Contains(0));
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
+}
+
+TEST(CacheTest, OneWayIsDirectMapped) {
+  LastLevelCache cache(SmallCache(4, 1));
+  EXPECT_FALSE(cache.Access(1, 0).evicted_valid);
+  EXPECT_FALSE(cache.Access(1, 1).evicted_valid);  // another set
+  const auto r = cache.Access(2, 4);  // same set as 0: replaces it at once
+  EXPECT_TRUE(r.evicted_valid);
+  EXPECT_EQ(r.evicted_owner, 1u);
+  EXPECT_FALSE(cache.Contains(0));
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(4));
+  // Two lines of one set thrash: every access misses.
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_FALSE(cache.Access(1, (i % 2 == 0) ? 0 : 4).hit);
+  }
+  EXPECT_EQ(cache.OwnerLinesInSet(0, 1), 1u);
+  EXPECT_EQ(cache.CountOwnerLines(1), 2u);
+}
+
+// The stamp-based LRU model the recency-ordered cache replaced: every line
+// carries a global LRU stamp; a miss fills the first invalid way, else
+// evicts the way with the smallest stamp. Kept as the reference the
+// differential test holds LastLevelCache to.
+class StampLruReference {
+ public:
+  StampLruReference(std::uint32_t sets, std::uint32_t ways, OwnerId owners)
+      : sets_(sets), ways_(ways), owners_(owners),
+        lines_(static_cast<std::size_t>(sets) * ways),
+        evictions_(static_cast<std::size_t>(owners) * owners) {}
+
+  CacheAccessResult Access(OwnerId owner, LineAddr addr) {
+    Line* base = Set(addr & (sets_ - 1));
+    CacheAccessResult r;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == addr) {
+        base[w].lru = ++clock_;
+        base[w].owner = owner;
+        r.hit = true;
+        return r;
+      }
+    }
+    Line* victim = nullptr;
+    for (std::uint32_t w = 0; w < ways_ && victim == nullptr; ++w) {
+      if (!base[w].valid) victim = &base[w];
+    }
+    if (victim == nullptr) {
+      victim = base;
+      for (std::uint32_t w = 1; w < ways_; ++w) {
+        if (base[w].lru < victim->lru) victim = &base[w];
+      }
+      r.evicted_valid = true;
+      r.evicted_owner = victim->owner;
+      ++evictions_[static_cast<std::size_t>(owner) * owners_ + victim->owner];
+    }
+    *victim = Line{addr, owner, ++clock_, true};
+    return r;
+  }
+
+  bool Contains(LineAddr addr) const {
+    const Line* base = Set(addr & (sets_ - 1));
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == addr) return true;
+    }
+    return false;
+  }
+
+  std::uint32_t OwnerLinesInSet(LineAddr set, OwnerId owner) const {
+    const Line* base = Set(set);
+    std::uint32_t n = 0;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].owner == owner) ++n;
+    }
+    return n;
+  }
+
+  std::uint64_t evictions(OwnerId culprit, OwnerId victim) const {
+    return evictions_[static_cast<std::size_t>(culprit) * owners_ + victim];
+  }
+
+  void Flush() {
+    for (Line& line : lines_) line.valid = false;
+    clock_ = 0;
+  }
+
+ private:
+  struct Line {
+    LineAddr tag = 0;
+    OwnerId owner = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+  };
+  Line* Set(LineAddr set) { return &lines_[set * ways_]; }
+  const Line* Set(LineAddr set) const { return &lines_[set * ways_]; }
+
+  std::uint32_t sets_;
+  std::uint32_t ways_;
+  OwnerId owners_;
+  std::vector<Line> lines_;
+  std::vector<std::uint64_t> evictions_;
+  std::uint64_t clock_ = 0;
+};
+
+class CacheDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// Random multi-owner traffic, a Flush() mid-stream, and a ledger attached:
+// every access result, the residency/occupancy queries and the eviction
+// matrix must match the stamp-based reference exactly.
+TEST_P(CacheDifferentialTest, MatchesStampLruReference) {
+  const auto sets = static_cast<std::uint32_t>(std::get<0>(GetParam()));
+  const auto ways = static_cast<std::uint32_t>(std::get<1>(GetParam()));
+  constexpr OwnerId kOwners = 5;
+  LastLevelCache cache(SmallCache(sets, ways));
+  AttributionLedger ledger(kOwners);
+  cache.AttachLedger(&ledger);
+  StampLruReference ref(sets, ways, kOwners);
+
+  Rng rng(static_cast<std::uint64_t>(sets) * 101 + ways);
+  const std::uint64_t lines = static_cast<std::uint64_t>(sets) * ways;
+  constexpr int kAccesses = 40000;
+  for (int i = 0; i < kAccesses; ++i) {
+    if (i == kAccesses / 2) {
+      cache.Flush();
+      ref.Flush();
+    }
+    const OwnerId owner = 1 + static_cast<OwnerId>(rng.UniformInt(4ull));
+    // Half the traffic reuses a hot range that fits the cache, half sweeps
+    // a range three times its size, so hits land at every recency position
+    // and full sets keep evicting.
+    const LineAddr addr = rng.Bernoulli(0.5)
+                              ? rng.UniformInt(lines / 2 + 1)
+                              : rng.UniformInt(lines * 3);
+    const CacheAccessResult got = cache.Access(owner, addr);
+    const CacheAccessResult want = ref.Access(owner, addr);
+    ASSERT_EQ(got.hit, want.hit) << "access " << i;
+    ASSERT_EQ(got.evicted_valid, want.evicted_valid) << "access " << i;
+    if (want.evicted_valid) {
+      ASSERT_EQ(got.evicted_owner, want.evicted_owner) << "access " << i;
+    }
+    if (i % 997 == 0) {
+      for (LineAddr a = 0; a < lines * 3; ++a) {
+        ASSERT_EQ(cache.Contains(a), ref.Contains(a)) << "access " << i;
+      }
+      for (OwnerId o = 0; o < kOwners; ++o) {
+        std::size_t total = 0;
+        for (std::uint32_t s = 0; s < sets; ++s) {
+          const std::uint32_t n = ref.OwnerLinesInSet(s, o);
+          ASSERT_EQ(cache.OwnerLinesInSet(s, o), n) << "access " << i;
+          total += n;
+        }
+        ASSERT_EQ(cache.CountOwnerLines(o), total) << "access " << i;
+      }
+    }
+  }
+  for (OwnerId culprit = 0; culprit < kOwners; ++culprit) {
+    for (OwnerId victim = 0; victim < kOwners; ++victim) {
+      EXPECT_EQ(ledger.evictions_inflicted(culprit, victim),
+                ref.evictions(culprit, victim));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheDifferentialTest,
+                         ::testing::Combine(::testing::Values(1, 4, 64),
+                                            ::testing::Values(1, 2, 16, 20)));
 
 }  // namespace
 }  // namespace sds::sim
