@@ -7,6 +7,7 @@
 #include "attacks/bus_lock_attacker.h"
 #include "attacks/scheduled_workload.h"
 #include "common/check.h"
+#include "eval/aggregate.h"
 #include "workloads/catalog.h"
 
 namespace sds::eval {
@@ -172,27 +173,35 @@ ActuationSweepResult RunActuationSweep(const ActuationSweepConfig& config) {
   SDS_CHECK(config.runs_per_cell >= 1, "need at least one run per cell");
   SDS_CHECK(!config.kinds.empty() && !config.rates.empty(),
             "empty sweep grid");
-  ActuationSweepResult result;
-
-  // Baseline: the full engine + actuator machinery in the path, but an
-  // inert plan — synchronous, infallible, settles at the alarm tick. Equals
-  // the one-shot engine's behavior by the actuation golden invariant.
-  result.baseline =
-      RunCell(config, fault::ActuationFaultPlan{},
-              fault::ActuationFaultKind::kCommandLost, 0.0);
-
-  for (const fault::ActuationFaultKind kind : config.kinds) {
-    for (const double rate : config.rates) {
-      SDS_CHECK(rate > 0.0 && rate <= 1.0,
-                "sweep rates must be probabilities > 0");
-      result.cells.push_back(RunCell(
-          config,
-          fault::ActuationFaultPlan::Single(kind, rate, 0,
-                                            config.faulted_latency_min,
-                                            config.faulted_latency_max),
-          kind, rate));
-    }
+  for (const double rate : config.rates) {
+    SDS_CHECK(rate > 0.0 && rate <= 1.0,
+              "sweep rates must be probabilities > 0");
   }
+
+  // Cell 0 is the baseline: the full engine + actuator machinery in the
+  // path, but an inert plan — synchronous, infallible, settles at the alarm
+  // tick. Equals the one-shot engine's behavior by the actuation golden
+  // invariant. Cells 1.. are the kind x rate grid, kind-major.
+  const std::size_t rates = config.rates.size();
+  std::vector<ActuationCell> cells = RunCells(
+      static_cast<int>(1 + config.kinds.size() * rates), nullptr, [&](int i) {
+        if (i == 0) {
+          return RunCell(config, fault::ActuationFaultPlan{},
+                         fault::ActuationFaultKind::kCommandLost, 0.0);
+        }
+        const auto grid = static_cast<std::size_t>(i - 1);
+        const fault::ActuationFaultKind kind = config.kinds[grid / rates];
+        const double rate = config.rates[grid % rates];
+        return RunCell(config,
+                       fault::ActuationFaultPlan::Single(
+                           kind, rate, 0, config.faulted_latency_min,
+                           config.faulted_latency_max),
+                       kind, rate);
+      });
+
+  ActuationSweepResult result;
+  result.baseline = cells.front();
+  result.cells.assign(cells.begin() + 1, cells.end());
   return result;
 }
 

@@ -56,21 +56,23 @@ void ParallelFor(int n, int threads, const std::function<void(int)>& fn) {
   }
   std::atomic<int> next{0};
   ErrorSlot error;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        if (error.armed()) return;  // stop claiming work after a failure
-        try {
-          fn(i);
-        } catch (...) {
-          error.Capture(std::current_exception());
-          return;
-        }
+  const auto drain = [&] {
+    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      if (error.armed()) return;  // stop claiming work after a failure
+      try {
+        fn(i);
+      } catch (...) {
+        error.Capture(std::current_exception());
+        return;
       }
-    });
-  }
+    }
+  };
+  // The caller is one of the workers: a cell it runs reuses the main malloc
+  // arena's free memory instead of growing another thread's arena.
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) pool.emplace_back(drain);
+  drain();
   for (auto& t : pool) t.join();
   error.Rethrow();
 }
@@ -78,6 +80,10 @@ void ParallelFor(int n, int threads, const std::function<void(int)>& fn) {
 int DefaultThreads(int max_threads) {
   const auto hw = static_cast<int>(std::thread::hardware_concurrency());
   return std::max(1, std::min(max_threads, hw > 0 ? hw : 4));
+}
+
+int CellThreads(int n, const telemetry::Telemetry* telemetry) {
+  return telemetry != nullptr ? 1 : std::min(n, DefaultThreads());
 }
 
 AggregatedDetection AggregateDetection(const DetectionRunConfig& config,

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "detect/kstest_detector.h"
+#include "eval/aggregate.h"
 
 namespace sds::eval {
 namespace {
@@ -133,30 +134,39 @@ AttributionSweepResult RunAttributionSweep(const AttributionSweepConfig& config,
   colluding.attack2 = AttackKind::kLlcCleansing;
   grid.push_back(colluding);
 
-  std::uint64_t seed = config.base_seed;
-  for (AttributionCell& cell : grid) {
-    RunForcedAlarmCell(config, cell, seed++);
-    if (log != nullptr) {
-      *log << "  " << cell.app << " / " << AttackName(cell.attack)
-           << (cell.attack2 != AttackKind::kNone ? " + colluder" : "")
-           << ": prime=" << cell.prime_suspect
-           << " rank_of_true=" << cell.rank_of_true << "\n";
-    }
-    result.cells.push_back(cell);
-  }
+  // Cell i runs with seed base_seed + i; the KStest cell, when enabled, is
+  // the last one.
+  const int forced_cells = static_cast<int>(grid.size());
+  result.cells = RunCells(
+      forced_cells + (config.kstest_cell ? 1 : 0), nullptr, [&](int i) {
+        const std::uint64_t seed =
+            config.base_seed + static_cast<std::uint64_t>(i);
+        if (i < forced_cells) {
+          AttributionCell cell = grid[static_cast<std::size_t>(i)];
+          RunForcedAlarmCell(config, cell, seed);
+          return cell;
+        }
+        AttributionCell cell;
+        cell.app = "bayes";
+        cell.attack = AttackKind::kBusLock;
+        RunKstestCell(config, cell, seed);
+        return cell;
+      });
 
-  if (config.kstest_cell) {
-    AttributionCell cell;
-    cell.app = "bayes";
-    cell.attack = AttackKind::kBusLock;
-    RunKstestCell(config, cell, seed++);
-    if (log != nullptr) {
-      *log << "  " << cell.app << " / " << AttackName(cell.attack)
-           << " [kstest]: prime=" << cell.prime_suspect << " kstest_culprit="
-           << cell.kstest_culprit
-           << (cell.kstest_agrees ? " (agrees)" : " (disagrees)") << "\n";
+  if (log != nullptr) {
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+      const AttributionCell& cell = result.cells[i];
+      *log << "  " << cell.app << " / " << AttackName(cell.attack);
+      if (i < grid.size()) {
+        *log << (cell.attack2 != AttackKind::kNone ? " + colluder" : "")
+             << ": prime=" << cell.prime_suspect
+             << " rank_of_true=" << cell.rank_of_true << "\n";
+      } else {
+        *log << " [kstest]: prime=" << cell.prime_suspect
+             << " kstest_culprit=" << cell.kstest_culprit
+             << (cell.kstest_agrees ? " (agrees)" : " (disagrees)") << "\n";
+      }
     }
-    result.cells.push_back(cell);
   }
 
   int single_cells = 0;

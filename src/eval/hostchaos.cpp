@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "detect/profile.h"
 #include "detect/sds_detector.h"
+#include "eval/aggregate.h"
 #include "eval/experiment.h"
 #include "workloads/catalog.h"
 
@@ -316,41 +317,53 @@ HostChaosSweepResult RunHostChaosSweep(const HostChaosSweepConfig& config) {
   SDS_CHECK(config.runs_per_cell >= 1, "need at least one run per cell");
   SDS_CHECK(!config.migration_periods.empty() || !config.crash_rates.empty(),
             "empty sweep grid");
-  HostChaosSweepResult result;
-
-  std::uint64_t tag = 0;
   for (const Tick period : config.migration_periods) {
     SDS_CHECK(period > 0, "migration periods must be positive");
-    HostChaosRunConfig run = config.run;
-    run.migrate_every = period;
-    run.host_plan = fault::HostFaultPlan{};  // pure evasion cell: no faults
-    HostChaosCell cell = RunCellPair(config, run, ++tag);
-    result.warm_strictly_better =
-        result.warm_strictly_better && WarmBeatsCold(cell);
-    result.migration_cells.push_back(std::move(cell));
   }
-
   for (const double rate : config.crash_rates) {
     SDS_CHECK(rate >= 0.0 && rate <= 1.0,
               "crash rates must be probabilities");
-    HostChaosRunConfig run = config.run;
-    run.migrate_every = 0;
-    run.host_plan = fault::HostFaultPlan{};
-    run.host_plan.set_rate(fault::HostFaultKind::kCrash, rate);
-    // Guarantee at least one victim evacuation per run regardless of how
-    // the random crashes land.
-    fault::ScheduledHostFault crash;
-    crash.tick = config.run.attack_start + config.scheduled_crash_after;
-    crash.host = 0;
-    crash.kind = fault::HostFaultKind::kCrash;
-    crash.duration = config.scheduled_crash_down;
-    run.host_plan.scheduled.push_back(crash);
-    HostChaosCell cell = RunCellPair(config, run, ++tag);
-    cell.crash_rate = rate;
+  }
+
+  // One cell per warm/cold pair: the migration periods first, then the
+  // crash rates. Cell i's fault schedules are tagged i + 1.
+  const std::size_t periods = config.migration_periods.size();
+  std::vector<HostChaosCell> cells = RunCells(
+      static_cast<int>(periods + config.crash_rates.size()), nullptr,
+      [&](int i) {
+        const auto index = static_cast<std::size_t>(i);
+        const auto tag = static_cast<std::uint64_t>(i) + 1;
+        HostChaosRunConfig run = config.run;
+        run.host_plan = fault::HostFaultPlan{};
+        if (index < periods) {
+          // Pure evasion cell: forced migrations, no faults.
+          run.migrate_every = config.migration_periods[index];
+          return RunCellPair(config, run, tag);
+        }
+        const double rate = config.crash_rates[index - periods];
+        run.migrate_every = 0;
+        run.host_plan.set_rate(fault::HostFaultKind::kCrash, rate);
+        // Guarantee at least one victim evacuation per run regardless of how
+        // the random crashes land.
+        fault::ScheduledHostFault crash;
+        crash.tick = config.run.attack_start + config.scheduled_crash_after;
+        crash.host = 0;
+        crash.kind = fault::HostFaultKind::kCrash;
+        crash.duration = config.scheduled_crash_down;
+        run.host_plan.scheduled.push_back(crash);
+        HostChaosCell cell = RunCellPair(config, run, tag);
+        cell.crash_rate = rate;
+        return cell;
+      });
+
+  HostChaosSweepResult result;
+  for (const HostChaosCell& cell : cells) {
     result.warm_strictly_better =
         result.warm_strictly_better && WarmBeatsCold(cell);
-    result.chaos_cells.push_back(std::move(cell));
   }
+  const auto split = cells.begin() + static_cast<std::ptrdiff_t>(periods);
+  result.migration_cells.assign(cells.begin(), split);
+  result.chaos_cells.assign(split, cells.end());
   return result;
 }
 

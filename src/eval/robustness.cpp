@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "eval/aggregate.h"
 
 namespace sds::eval {
 
@@ -90,25 +91,34 @@ RobustnessSweepResult RunRobustnessSweep(const RobustnessSweepConfig& config) {
   SDS_CHECK(config.runs_per_cell >= 1, "need at least one run per cell");
   SDS_CHECK(!config.kinds.empty() && !config.rates.empty(),
             "empty sweep grid");
-  RobustnessSweepResult result;
-
-  // Baseline: the full injector + gate machinery in the path, but a
-  // zero-rate plan. Bit-transparent by the golden invariant, so this equals
-  // the plain RunDetectionRun numbers while exercising the same code path
-  // the faulted cells use.
-  fault::FaultPlan baseline_plan;
-  result.baseline =
-      RunCell(config, baseline_plan, fault::FaultKind::kDropSample, 0.0);
-
-  for (const fault::FaultKind kind : config.kinds) {
-    for (const double rate : config.rates) {
-      SDS_CHECK(rate > 0.0 && rate <= 1.0,
-                "sweep rates must be probabilities > 0");
-      result.cells.push_back(
-          RunCell(config, fault::FaultPlan::Single(kind, rate, 0), kind,
-                  rate));
-    }
+  for (const double rate : config.rates) {
+    SDS_CHECK(rate > 0.0 && rate <= 1.0,
+              "sweep rates must be probabilities > 0");
   }
+
+  // Cell 0 is the baseline: the full injector + gate machinery in the path,
+  // but a zero-rate plan. Bit-transparent by the golden invariant, so this
+  // equals the plain RunDetectionRun numbers while exercising the same code
+  // path the faulted cells use. Cells 1.. are the kind x rate grid,
+  // kind-major.
+  const std::size_t rates = config.rates.size();
+  std::vector<RobustnessCell> cells = RunCells(
+      static_cast<int>(1 + config.kinds.size() * rates),
+      config.run.scenario.machine.telemetry, [&](int i) {
+        if (i == 0) {
+          return RunCell(config, fault::FaultPlan{},
+                         fault::FaultKind::kDropSample, 0.0);
+        }
+        const auto grid = static_cast<std::size_t>(i - 1);
+        const fault::FaultKind kind = config.kinds[grid / rates];
+        const double rate = config.rates[grid % rates];
+        return RunCell(config, fault::FaultPlan::Single(kind, rate, 0), kind,
+                       rate);
+      });
+
+  RobustnessSweepResult result;
+  result.baseline = cells.front();
+  result.cells.assign(cells.begin() + 1, cells.end());
   return result;
 }
 

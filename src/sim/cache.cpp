@@ -34,7 +34,7 @@ std::size_t LastLevelCache::CountOwnerLines(OwnerId owner) const {
 std::uint32_t LastLevelCache::OwnerLinesInSet(std::uint32_t set,
                                               OwnerId owner) const {
   SDS_CHECK(set < config_.sets, "set index out of range");
-  const OwnerId* owners =
+  const std::uint8_t* owners =
       &owners_[static_cast<std::size_t>(set) * config_.ways];
   std::uint32_t count = 0;
   for (std::uint32_t w = 0; w < fill_[set]; ++w) {

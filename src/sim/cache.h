@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "sim/attribution.h"
 
@@ -51,6 +52,10 @@ struct CacheAccessResult {
 
 class LastLevelCache {
  public:
+  // Owners are stored as one-byte tags, so owner ids must not exceed this
+  // (MachineConfig::max_owners <= 256 is checked by Machine).
+  static constexpr OwnerId kMaxOwnerTag = 255;
+
   explicit LastLevelCache(const CacheConfig& config);
 
   // Performs a load of `addr` on behalf of `owner`: on hit refreshes LRU, on
@@ -59,9 +64,10 @@ class LastLevelCache {
     const std::uint32_t set = SetIndexOf(addr);
     const std::uint32_t ways = config_.ways;
     LineAddr* tags = &tags_[static_cast<std::size_t>(set) * ways];
-    OwnerId* owners = &owners_[static_cast<std::size_t>(set) * ways];
+    std::uint8_t* owners = &owners_[static_cast<std::size_t>(set) * ways];
     std::uint32_t& fill = fill_[set];
     CacheAccessResult result;
+    SDS_DCHECK(owner <= kMaxOwnerTag, "owner id does not fit an owner tag");
 
     std::uint32_t pos = 0;
     while (pos < fill && tags[pos] != addr) ++pos;
@@ -78,7 +84,7 @@ class LastLevelCache {
     std::copy_backward(tags, tags + pos, tags + pos + 1);
     std::copy_backward(owners, owners + pos, owners + pos + 1);
     tags[0] = addr;
-    owners[0] = owner;
+    owners[0] = static_cast<std::uint8_t>(owner);
     return result;
   }
 
@@ -115,9 +121,10 @@ class LastLevelCache {
   CacheConfig config_;
   std::uint32_t set_mask_;
   // sets * ways each, row-major by set; slot 0 of a set is its most recently
-  // used line (see the representation note above).
+  // used line (see the representation note above). Owners are one byte each
+  // (see kMaxOwnerTag): at 2048 x 16 that is 32 KiB instead of 128 KiB.
   std::vector<LineAddr> tags_;
-  std::vector<OwnerId> owners_;
+  std::vector<std::uint8_t> owners_;
   std::vector<std::uint32_t> fill_;      // valid lines per set
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
 };

@@ -1,5 +1,6 @@
 #include "sim/machine.h"
 
+#include "common/check.h"
 #include "telemetry/telemetry.h"
 
 namespace sds::sim {
@@ -12,6 +13,8 @@ Machine::Machine(const MachineConfig& config)
       bus_(config.bus),
       dram_(config.dram),
       counters_(config.max_owners) {
+  SDS_CHECK(config_.max_owners <= LastLevelCache::kMaxOwnerTag + 1,
+            "max_owners must be <= 256: the LLC stores one-byte owner tags");
   if (config_.attribution) {
     ledger_ = std::make_unique<AttributionLedger>(config_.max_owners);
     cache_.AttachLedger(ledger_.get());

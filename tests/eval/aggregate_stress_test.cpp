@@ -1,9 +1,12 @@
 // Thread-stress companion to aggregate_test.cpp, sized for the TSan CI job:
-// every test drives the parallel aggregation path with >= 8 workers so the
-// race detector sees real interleavings (worker count deliberately exceeds
-// the iteration count in one case, and contention on shared state is part of
-// the workload in another). Under plain builds this doubles as a cheap
-// smoke that worker count never changes results.
+// the ParallelFor and aggregation tests drive the parallel path with >= 8
+// workers so the race detector sees real interleavings (worker count
+// deliberately exceeds the iteration count in one case, and contention on
+// shared state is part of the workload in another). The sweep tests run the
+// real sweep functions through the cell runner (its own min(cells, cores)
+// worker policy), which takes the fault injector, degradation gate, cluster,
+// lifecycle and evacuation code onto concurrent threads. Under plain builds
+// this doubles as a cheap smoke that worker count never changes results.
 #include "eval/aggregate.h"
 
 #include <atomic>
@@ -14,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/hostchaos.h"
 #include "eval/report.h"
+#include "eval/robustness.h"
 
 namespace sds::eval {
 namespace {
@@ -89,6 +94,69 @@ TEST(AggregateStressTest, EightWorkerOverheadMatchesSerial) {
                    serial.normalized_time.median);
   EXPECT_DOUBLE_EQ(parallel.normalized_time.p10, serial.normalized_time.p10);
   EXPECT_DOUBLE_EQ(parallel.normalized_time.p90, serial.normalized_time.p90);
+}
+
+// Three robustness cells (baseline + two fault kinds) at once; each must
+// equal its single run made serially on this thread.
+TEST(SweepStressTest, RobustnessSweepCellsMatchSerialRuns) {
+  RobustnessSweepConfig config;
+  config.run.app = "bayes";
+  config.run.attack = AttackKind::kBusLock;
+  config.run.scheme = Scheme::kSds;
+  config.run.profile_ticks = 3000;
+  config.run.clean_ticks = 3000;
+  config.run.attack_ticks = 3000;
+  config.run.eval_interval = 500;
+  config.kinds = {fault::FaultKind::kDropSample,
+                  fault::FaultKind::kSamplerDeath};
+  config.rates = {0.1};
+  config.runs_per_cell = 1;
+  const RobustnessSweepResult result = RunRobustnessSweep(config);
+  ASSERT_EQ(result.cells.size(), 2u);
+
+  std::vector<RobustnessCell> cells = {result.baseline};
+  cells.insert(cells.end(), result.cells.begin(), result.cells.end());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(i);
+    RobustnessRunConfig robust;
+    if (i > 0) robust.plan = fault::FaultPlan::Single(cells[i].kind, 0.1, 0);
+    robust.plan.seed = config.fault_seed + std::uint64_t{0x9e3779b97f4a7c15};
+    RobustnessCounters counters;
+    const DetectionRunResult run = RunDetectionRunFaulted(
+        config.run, config.base_seed, robust, &counters);
+    EXPECT_EQ(cells[i].detected_runs, run.detected ? 1 : 0);
+    EXPECT_EQ(cells[i].mean_delay_ticks,
+              run.detected
+                  ? static_cast<double>(*run.detection_delay_ticks)
+                  : -1.0);
+    EXPECT_EQ(cells[i].true_negative_intervals, run.true_negative_intervals);
+    EXPECT_EQ(cells[i].false_positive_intervals,
+              run.false_positive_intervals);
+    EXPECT_EQ(cells[i].counters.fault.injected, counters.fault.injected);
+    EXPECT_EQ(cells[i].counters.degrade.gap_ticks, counters.degrade.gap_ticks);
+  }
+}
+
+// Two host-chaos cells at once: cluster, lifecycle, evacuation and handoff
+// code on concurrent threads.
+TEST(SweepStressTest, HostChaosSweepRunsCellsConcurrently) {
+  HostChaosSweepConfig sweep;
+  sweep.run.attack_start = 500;
+  sweep.run.horizon = 3000;
+  sweep.run.params.window = 100;
+  sweep.run.params.step = 25;
+  sweep.run.params.h_c = 8;
+  sweep.migration_periods = {400};
+  sweep.crash_rates = {0.001};
+  sweep.scheduled_crash_after = 400;
+  sweep.scheduled_crash_down = 600;
+  sweep.runs_per_cell = 1;
+  const HostChaosSweepResult result = RunHostChaosSweep(sweep);
+  ASSERT_EQ(result.migration_cells.size(), 1u);
+  ASSERT_EQ(result.chaos_cells.size(), 1u);
+  EXPECT_GT(result.migration_cells[0].warm.migrations, 0);
+  EXPECT_GT(result.chaos_cells[0].warm.evac_migrated, 0u);
+  EXPECT_TRUE(result.warm_strictly_better);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 #include "eval/aggregate.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/report.h"
+#include "telemetry/telemetry.h"
 
 namespace sds::eval {
 namespace {
@@ -61,6 +67,95 @@ TEST(ParallelForTest, InlinePathPropagatesException) {
   EXPECT_THROW(
       ParallelFor(3, 1, [](int) { throw std::runtime_error("inline"); }),
       std::runtime_error);
+}
+
+// Blocks each of the first `parties` calls until all of them have arrived.
+// No thread can claim a second index before every party holds one, so each
+// of `parties` distinct threads runs exactly one of the first indices.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+  void Arrive() {
+    arrived_.fetch_add(1);
+    while (arrived_.load() < parties_) std::this_thread::yield();
+  }
+
+ private:
+  const int parties_;
+  std::atomic<int> arrived_{0};
+};
+
+TEST(ParallelForTest, CallerRunsIndicesToo) {
+  constexpr int kThreads = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  Rendezvous rendezvous(kThreads);
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::atomic<int> caller_runs{0};
+  ParallelFor(32, kThreads, [&](int i) {
+    if (i < kThreads) rendezvous.Arrive();
+    if (std::this_thread::get_id() == caller) ++caller_runs;
+    const std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(caller_runs.load(), 1);
+  // threads - 1 spawned workers plus the caller.
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads));
+}
+
+TEST(ParallelForTest, CallerExceptionWaitsForEveryWorker) {
+  constexpr int kThreads = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  Rendezvous rendezvous(kThreads);
+  std::atomic<int> finished{0};
+  try {
+    ParallelFor(kThreads, kThreads, [&](int) {
+      rendezvous.Arrive();
+      if (std::this_thread::get_id() == caller) {
+        throw std::runtime_error("caller's index failed");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ++finished;
+    });
+    FAIL() << "expected the caller's exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller's index failed");
+  }
+  // Rethrown only after the in-flight workers ran to completion.
+  EXPECT_EQ(finished.load(), kThreads - 1);
+}
+
+TEST(ParallelForTest, OneOrFewerThreadsRunInlineInOrder) {
+  for (const int threads : {1, 0, -3}) {
+    SCOPED_TRACE(threads);
+    std::vector<int> order;
+    std::set<std::thread::id> ids;
+    ParallelFor(6, threads, [&](int i) {
+      order.push_back(i);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+  }
+}
+
+TEST(RunCellsTest, ResultsComeInIndexOrder) {
+  const std::vector<int> squares =
+      RunCells(40, nullptr, [](int i) { return i * i; });
+  ASSERT_EQ(squares.size(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
+  }
+  EXPECT_TRUE(RunCells(0, nullptr, [](int i) { return i; }).empty());
+}
+
+TEST(RunCellsTest, ThreadPolicy) {
+  EXPECT_EQ(CellThreads(1, nullptr), 1);
+  EXPECT_EQ(CellThreads(1000, nullptr), DefaultThreads());
+  EXPECT_EQ(CellThreads(2, nullptr), std::min(2, DefaultThreads()));
+  // A telemetry handle is never shared across threads: serial.
+  const telemetry::Telemetry telemetry;
+  EXPECT_EQ(CellThreads(1000, &telemetry), 1);
 }
 
 TEST(DefaultThreadsTest, Bounded) {

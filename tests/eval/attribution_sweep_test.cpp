@@ -77,5 +77,31 @@ TEST(AttributionSweep, JsonCarriesSummaryAndCellRows) {
   EXPECT_NE(json.find("\"rank_of_true\":1"), std::string::npos);
 }
 
+TEST(AttributionSweep, ParallelSweepKeepsTheSerialFingerprint) {
+  // Pinned from the one-cell-at-a-time sweep: cells now run concurrently,
+  // with the same per-index seeds, and must score identically. Two apps give
+  // more cells than a typical core count.
+  EXPECT_EQ(RunAttributionSweep(SmallConfig()).fingerprint,
+            644386204484128044ull);
+  AttributionSweepConfig two_apps = SmallConfig();
+  two_apps.apps = {"kmeans", "terasort"};
+  EXPECT_EQ(RunAttributionSweep(two_apps).fingerprint,
+            15290935434819778150ull);
+}
+
+TEST(AttributionSweep, LogLinesComeInCellOrder) {
+  std::ostringstream log;
+  const AttributionSweepResult result =
+      RunAttributionSweep(SmallConfig(), &log);
+  std::ostringstream expected;
+  for (const AttributionCell& cell : result.cells) {
+    expected << "  " << cell.app << " / " << AttackName(cell.attack)
+             << (cell.attack2 != AttackKind::kNone ? " + colluder" : "")
+             << ": prime=" << cell.prime_suspect
+             << " rank_of_true=" << cell.rank_of_true << "\n";
+  }
+  EXPECT_EQ(log.str(), expected.str());
+}
+
 }  // namespace
 }  // namespace sds::eval

@@ -3,6 +3,8 @@
 // evacuation, and the sweep's warm side wins every cell.
 #include "eval/hostchaos.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "fault/host_plan.h"
@@ -156,6 +158,112 @@ TEST(HostChaosSweepTest, SweepStructureAndWarmWin) {
   EXPECT_LT(chaos.warm.mean_blind_ticks, chaos.cold.mean_blind_ticks);
 
   EXPECT_TRUE(result.warm_strictly_better);
+}
+
+// One side of the cell a sweep should report for `cell_run` (the sweep's
+// tag-th cell), folded here from serial RunHostChaosRun calls with the
+// sweep's documented seeds.
+HostChaosCellSide SerialSide(const HostChaosSweepConfig& config,
+                             const HostChaosRunConfig& cell_run,
+                             std::uint64_t tag, bool warm) {
+  HostChaosCellSide side;
+  std::uint64_t blind = 0;
+  std::uint64_t migrations = 0;
+  std::uint64_t missed = 0;
+  std::uint64_t attacked = 0;
+  std::uint64_t evac_ticks = 0;
+  for (int r = 0; r < config.runs_per_cell; ++r) {
+    HostChaosRunConfig run = cell_run;
+    run.warm_handoff = warm;
+    run.host_plan.seed =
+        config.fault_seed +
+        std::uint64_t{0x9e3779b97f4a7c15} * static_cast<std::uint64_t>(r + 1) +
+        std::uint64_t{0x85ebca6b} * (tag + 1);
+    const HostChaosRunResult res =
+        RunHostChaosRun(run, config.base_seed + static_cast<std::uint64_t>(r));
+    ++side.runs;
+    side.migrations += res.migrations;
+    side.warm_handoffs += static_cast<int>(res.handoffs.warm);
+    side.cold_handoffs +=
+        static_cast<int>(res.handoffs.attempts - res.handoffs.warm);
+    side.max_blind_ticks = std::max(side.max_blind_ticks, res.max_blind_ticks);
+    blind += res.blind_ticks;
+    migrations += static_cast<std::uint64_t>(res.migrations);
+    missed += res.missed_ticks;
+    attacked += res.attacked_serving_ticks;
+    side.evac_started += res.evacuation.started;
+    side.evac_migrated += res.evacuation.migrated;
+    side.evac_throttled += res.evacuation.throttled_in_place;
+    side.evac_abandoned += res.evacuation.abandoned;
+    side.down_ticks += res.host_faults.down_ticks;
+    evac_ticks += res.evacuation.evacuation_ticks;
+  }
+  if (migrations > 0) {
+    side.mean_blind_ticks =
+        static_cast<double>(blind) / static_cast<double>(migrations);
+  }
+  if (attacked > 0) {
+    side.missed_alarm_rate =
+        static_cast<double>(missed) / static_cast<double>(attacked);
+  }
+  if (side.evac_migrated > 0) {
+    side.mean_evacuation_ticks = static_cast<double>(evac_ticks) /
+                                 static_cast<double>(side.evac_migrated);
+  }
+  return side;
+}
+
+void ExpectSameSide(const HostChaosCellSide& a, const HostChaosCellSide& b) {
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.warm_handoffs, b.warm_handoffs);
+  EXPECT_EQ(a.cold_handoffs, b.cold_handoffs);
+  EXPECT_EQ(a.mean_blind_ticks, b.mean_blind_ticks);
+  EXPECT_EQ(a.max_blind_ticks, b.max_blind_ticks);
+  EXPECT_EQ(a.missed_alarm_rate, b.missed_alarm_rate);
+  EXPECT_EQ(a.evac_started, b.evac_started);
+  EXPECT_EQ(a.evac_migrated, b.evac_migrated);
+  EXPECT_EQ(a.evac_throttled, b.evac_throttled);
+  EXPECT_EQ(a.evac_abandoned, b.evac_abandoned);
+  EXPECT_EQ(a.mean_evacuation_ticks, b.mean_evacuation_ticks);
+  EXPECT_EQ(a.down_ticks, b.down_ticks);
+}
+
+TEST(HostChaosSweepTest, ParallelSweepEqualsSerialRuns) {
+  // Two cells (one per family) run concurrently, each holding its warm and
+  // cold side; both must equal the same runs made one by one on this thread.
+  HostChaosSweepConfig sweep;
+  sweep.run = FastRun();
+  sweep.migration_periods = {400};
+  sweep.crash_rates = {0.001};
+  sweep.scheduled_crash_after = 400;
+  sweep.scheduled_crash_down = 600;
+  sweep.runs_per_cell = 1;
+  const HostChaosSweepResult result = RunHostChaosSweep(sweep);
+  ASSERT_EQ(result.migration_cells.size(), 1u);
+  ASSERT_EQ(result.chaos_cells.size(), 1u);
+
+  HostChaosRunConfig evasion = sweep.run;
+  evasion.migrate_every = 400;
+  HostChaosRunConfig chaos = sweep.run;
+  chaos.host_plan.set_rate(fault::HostFaultKind::kCrash, 0.001);
+  fault::ScheduledHostFault crash;
+  crash.tick = sweep.run.attack_start + sweep.scheduled_crash_after;
+  crash.host = 0;
+  crash.kind = fault::HostFaultKind::kCrash;
+  crash.duration = sweep.scheduled_crash_down;
+  chaos.host_plan.scheduled.push_back(crash);
+
+  for (const bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    const auto side = [warm](const HostChaosCell& cell) {
+      return warm ? cell.warm : cell.cold;
+    };
+    ExpectSameSide(side(result.migration_cells[0]),
+                   SerialSide(sweep, evasion, 1, warm));
+    ExpectSameSide(side(result.chaos_cells[0]),
+                   SerialSide(sweep, chaos, 2, warm));
+  }
 }
 
 }  // namespace

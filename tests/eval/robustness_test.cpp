@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/telemetry.h"
+
 namespace sds::eval {
 namespace {
 
@@ -124,6 +126,119 @@ TEST(RobustnessSweepTest, TinySweepShapeAndJson) {
   EXPECT_NE(json.find("\"drop_sample\""), std::string::npos);
   EXPECT_NE(json.find("\"recall\""), std::string::npos);
   EXPECT_NE(json.find("\"specificity\""), std::string::npos);
+}
+
+// The cell a sweep should report for (plan, kind, rate), folded here from
+// serial RunDetectionRunFaulted calls with the sweep's documented seeds.
+RobustnessCell SerialCell(const RobustnessSweepConfig& config,
+                          const fault::FaultPlan& plan, fault::FaultKind kind,
+                          double rate) {
+  RobustnessCell cell;
+  cell.kind = kind;
+  cell.rate = rate;
+  double delay_sum = 0.0;
+  for (int r = 0; r < config.runs_per_cell; ++r) {
+    RobustnessRunConfig robust;
+    robust.plan = plan;
+    robust.plan.seed =
+        config.fault_seed +
+        std::uint64_t{0x9e3779b97f4a7c15} * static_cast<std::uint64_t>(r + 1);
+    robust.degrade = config.degrade;
+    RobustnessCounters counters;
+    const DetectionRunResult res = RunDetectionRunFaulted(
+        config.run, config.base_seed + static_cast<std::uint64_t>(r), robust,
+        &counters);
+    ++cell.runs;
+    if (res.detected) {
+      ++cell.detected_runs;
+      delay_sum += static_cast<double>(res.detection_delay_ticks.value_or(0));
+    }
+    cell.true_negative_intervals += res.true_negative_intervals;
+    cell.false_positive_intervals += res.false_positive_intervals;
+    cell.counters.Accumulate(counters);
+  }
+  if (cell.detected_runs > 0) {
+    cell.mean_delay_ticks = delay_sum / cell.detected_runs;
+  }
+  return cell;
+}
+
+void ExpectSameCell(const RobustnessCell& a, const RobustnessCell& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.rate, b.rate);
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.detected_runs, b.detected_runs);
+  EXPECT_EQ(a.mean_delay_ticks, b.mean_delay_ticks);
+  EXPECT_EQ(a.true_negative_intervals, b.true_negative_intervals);
+  EXPECT_EQ(a.false_positive_intervals, b.false_positive_intervals);
+  EXPECT_EQ(a.counters.fault.injected, b.counters.fault.injected);
+  EXPECT_EQ(a.counters.fault.missing_ticks, b.counters.fault.missing_ticks);
+  EXPECT_EQ(a.counters.fault.tampered_samples,
+            b.counters.fault.tampered_samples);
+  EXPECT_EQ(a.counters.fault.restart_attempts,
+            b.counters.fault.restart_attempts);
+  EXPECT_EQ(a.counters.fault.restarts_denied,
+            b.counters.fault.restarts_denied);
+  EXPECT_EQ(a.counters.fault.restarts, b.counters.fault.restarts);
+  EXPECT_EQ(a.counters.degrade.delivered, b.counters.degrade.delivered);
+  EXPECT_EQ(a.counters.degrade.gap_ticks, b.counters.degrade.gap_ticks);
+  EXPECT_EQ(a.counters.degrade.quarantined, b.counters.degrade.quarantined);
+  EXPECT_EQ(a.counters.degrade.substituted, b.counters.degrade.substituted);
+  EXPECT_EQ(a.counters.degrade.rewarms, b.counters.degrade.rewarms);
+  EXPECT_EQ(a.counters.degrade.watchdog_attempts,
+            b.counters.degrade.watchdog_attempts);
+  EXPECT_EQ(a.counters.degrade.watchdog_restarts,
+            b.counters.degrade.watchdog_restarts);
+  EXPECT_EQ(a.counters.ks_abandoned_collections,
+            b.counters.ks_abandoned_collections);
+}
+
+void ExpectSweepMatchesSerialRuns(const RobustnessSweepConfig& config) {
+  const RobustnessSweepResult result = RunRobustnessSweep(config);
+  {
+    SCOPED_TRACE("baseline");
+    ExpectSameCell(result.baseline,
+                   SerialCell(config, fault::FaultPlan{},
+                              fault::FaultKind::kDropSample, 0.0));
+  }
+  ASSERT_EQ(result.cells.size(), config.kinds.size() * config.rates.size());
+  std::size_t i = 0;
+  for (const fault::FaultKind kind : config.kinds) {
+    for (const double rate : config.rates) {
+      SCOPED_TRACE(std::string(fault::FaultKindName(kind)) + " @ " +
+                   std::to_string(rate));
+      ExpectSameCell(result.cells[i++],
+                     SerialCell(config, fault::FaultPlan::Single(kind, rate, 0),
+                                kind, rate));
+    }
+  }
+}
+
+RobustnessSweepConfig SmallGrid() {
+  RobustnessSweepConfig config;
+  config.run = FastConfig(Scheme::kSds);
+  config.kinds = {fault::FaultKind::kDropSample,
+                  fault::FaultKind::kSamplerDeath};
+  config.rates = {0.1};
+  config.runs_per_cell = 2;
+  return config;
+}
+
+TEST(RobustnessSweepTest, ParallelSweepEqualsSerialRuns) {
+  // Three cells run concurrently; each must equal the same runs made one by
+  // one on this thread.
+  ExpectSweepMatchesSerialRuns(SmallGrid());
+}
+
+TEST(RobustnessSweepTest, TelemetrySweepRunsSeriallyAndMatches) {
+  // A shared telemetry handle forces the serial path (tracer and profiler are
+  // not thread-safe); the sweep must still complete and match.
+  telemetry::Telemetry telemetry;
+  RobustnessSweepConfig config = SmallGrid();
+  config.runs_per_cell = 1;
+  config.run.scenario.machine.telemetry = &telemetry;
+  ExpectSweepMatchesSerialRuns(config);
+  EXPECT_GT(telemetry.metrics().GetCounter("sim.machine.ticks")->value(), 0u);
 }
 
 }  // namespace

@@ -222,6 +222,27 @@ TEST(CacheTest, OneWayIsDirectMapped) {
   EXPECT_EQ(cache.CountOwnerLines(1), 2u);
 }
 
+TEST(CacheTest, OwnerTagHoldsTheLargestOwnerId) {
+  // Owners are stored as one-byte tags; the largest id must survive the
+  // round trip through every view of the cache.
+  constexpr OwnerId kTop = LastLevelCache::kMaxOwnerTag;
+  ASSERT_EQ(kTop, 255u);
+  LastLevelCache cache(SmallCache(4, 2));
+  cache.Access(kTop, 0);
+  cache.Access(kTop, 4);  // same set, set now full
+  cache.Access(kTop, 1);  // another set
+  EXPECT_EQ(cache.OwnerLinesInSet(0, kTop), 2u);
+  EXPECT_EQ(cache.OwnerLinesInSet(1, kTop), 1u);
+  EXPECT_EQ(cache.CountOwnerLines(kTop), 3u);
+  EXPECT_EQ(cache.CountOwnerLines(kTop - 1), 0u);
+  const auto r = cache.Access(1, 8);  // evicts 0, the set's LRU line
+  EXPECT_TRUE(r.evicted_valid);
+  EXPECT_EQ(r.evicted_owner, kTop);
+  EXPECT_EQ(cache.OwnerLinesInSet(0, kTop), 1u);
+  EXPECT_EQ(cache.OwnerLinesInSet(0, 1), 1u);
+  EXPECT_EQ(cache.CountOwnerLines(kTop), 2u);
+}
+
 // The stamp-based LRU model the recency-ordered cache replaced: every line
 // carries a global LRU stamp; a miss fills the first invalid way, else
 // evicts the way with the smallest stamp. Kept as the reference the

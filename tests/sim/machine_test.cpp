@@ -127,5 +127,21 @@ TEST(MachineTest, CrossOwnerEvictionRaisesVictimMisses) {
   EXPECT_EQ(m.counters(1).llc_misses, 2u);
 }
 
+TEST(MachineTest, AcceptsUpToTwoHundredFiftySixOwners) {
+  MachineConfig c = SmallMachine();
+  c.max_owners = 256;
+  Machine m(c);
+  m.BeginTick();
+  m.Access(255, 0x40);
+  EXPECT_EQ(m.counters(255).llc_misses, 1u);
+  EXPECT_EQ(m.cache().CountOwnerLines(255), 1u);
+}
+
+TEST(MachineTest, RejectsOwnersBeyondTheOneByteTag) {
+  MachineConfig c = SmallMachine();
+  c.max_owners = 257;
+  EXPECT_DEATH(Machine{c}, "max_owners");
+}
+
 }  // namespace
 }  // namespace sds::sim
