@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
            {"json_out", "also write the BENCH_attrib JSON to this file"},
            {"forensics_out",
             "write every cell's forensic report as JSONL here (the stream "
-            "trace_inspect/fleet_inspect --forensics summarize)"}})) {
+            "trace_inspect --forensics summarizes)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
 

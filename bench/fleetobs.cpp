@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
            {"attacked", "attacked pair fraction (default 0.25)"},
            {"smoke", "tiny fleet: CI smoke test"},
            {"json_out", "also write the BENCH_fleetobs JSON to this file"},
-           {"rollup_out", "write rollup + SLO JSONL here (fleet_inspect "
+           {"rollup_out", "write rollup + SLO JSONL here (trace_inspect "
                           "input)"}})) {
     return flags.help_requested() ? 0 : 1;
   }

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
            {"json_out", "also write the BENCH_hostchaos JSON to this file"},
            {"trace_out",
             "write one warm + one cold chaos-run JSONL trace for "
-            "trace_inspect --hostchaos"}})) {
+            "trace_inspect (--hostchaos for per-row detail)"}})) {
     return flags.help_requested() ? 0 : 1;
   }
 

@@ -122,7 +122,7 @@ class ForensicsEngine {
 };
 
 // Deterministic renderings for tools and the eval sweep: a compact JSON
-// object and the human-readable section trace_inspect/fleet_inspect print
+// object and the human-readable section trace_inspect prints
 // under --forensics.
 void WriteForensicReportJson(std::ostream& os, const ForensicReport& report);
 void WriteForensicReportText(std::ostream& os, const ForensicReport& report);

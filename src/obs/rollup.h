@@ -188,7 +188,7 @@ class FleetRollup {
   std::size_t ApproxMemoryBytes() const;
 
   // One JSONL line per completed rollup row (type "rollup"), plus a trailing
-  // accounting line (type "rollup_stats"); the stream fleet_inspect reads.
+  // accounting line (type "rollup_stats"); the stream trace_inspect reads.
   void WriteJsonl(std::ostream& os) const;
 
  private:

@@ -114,7 +114,7 @@ class SloEngine {
   std::size_t burning_rules() const;
 
   // One JSONL line per alert (type "slo_alert") and per rule summary
-  // (type "slo_status"); appended to the rollup stream for fleet_inspect.
+  // (type "slo_status"); appended to the rollup stream for trace_inspect.
   void WriteJsonl(std::ostream& os) const;
 
  private:

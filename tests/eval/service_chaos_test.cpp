@@ -64,7 +64,7 @@ TEST(ServiceChaosTest, EveryCrashPointRecoversBitIdentical) {
   EXPECT_EQ(a.offered, result.feed_events);
 
   // Accounting JSONL: one svc_ref line + one svc_recovery line per point
-  // (what trace_inspect/fleet_inspect --svc consume).
+  // (what trace_inspect --svc consumes).
   const std::string lines = accounting.str();
   std::size_t ref_lines = 0;
   std::size_t recovery_lines = 0;

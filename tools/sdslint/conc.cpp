@@ -17,7 +17,7 @@
 //                      participate in a cross-function deadlock.
 //
 // Field accesses are not part of the FileSummary IR (recording every member
-// token would bloat the cache for one rule); instead this pass lazily
+// token would bloat every summary for one rule); instead this pass lazily
 // re-reads only the files that define methods of annotated classes.
 #include <algorithm>
 #include <functional>

@@ -1,5 +1,5 @@
 // Minimal JSON string escaping shared by the legacy --json emitter
-// (lint.cpp), the SARIF/stats emitters (output.cpp) and the CLI.
+// (lint.cpp) and the --stats emitter (output.cpp).
 #pragma once
 
 #include <string>

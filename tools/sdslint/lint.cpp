@@ -1,7 +1,7 @@
 // Orchestrator for the multi-pass analyzer (see lint.h for the pass map).
-// This file owns the layer model, file discovery, the cache-aware pass-1
-// driver, the v1 rule families (re-expressed over the FileSummary IR with
-// byte-identical diagnostics), central emission, and the baseline filter.
+// This file owns the layer model, file discovery, pass-1 loading, the v1
+// rule families (re-expressed over the FileSummary IR with byte-identical
+// diagnostics) and central emission.
 #include "sdslint/lint.h"
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sdslint/baseline.h"
-#include "sdslint/cache.h"
 #include "sdslint/json.h"
 #include "sdslint/model.h"
 #include "sdslint/passes.h"
@@ -200,7 +198,6 @@ class Analyzer {
                 if (a.line != b.line) return a.line < b.line;
                 return a.rule < b.rule;
               });
-    ApplyBaseline();
     for (const std::string& path : scan_list_) {
       for (const AllowComment& a : files_.at(path).allows) {
         result_.suppressions.push_back(
@@ -245,29 +242,15 @@ class Analyzer {
     scan_list_.assign(seen.begin(), seen.end());
   }
 
-  // Cache-aware pass 1: bytes -> hash -> cached summary or a fresh parse.
+  // Pass 1: load and summarize each file once.
   FileSummary* Load(const std::string& path) {
     auto it = files_.find(path);
     if (it != files_.end()) return &it->second;
-    std::string bytes;
-    if (!LoadFileBytes(path, &bytes)) return nullptr;
-    const std::uint64_t hash = Fnv1a64(bytes);
-    FileSummary summary;
-    if (!options_.cache_dir.empty() &&
-        LoadCachedSummary(options_.cache_dir, path, hash, &summary)) {
-      ++result_.stats.cache_hits;
-    } else {
-      SourceText text;
-      BuildSourceText(path, bytes, &text);
-      const std::string ext = fs::path(path).extension().string();
-      summary = BuildSummary(text, LayerOfPath(path),
-                             ext == ".h" || ext == ".hpp");
-      summary.content_hash = hash;
-      ++result_.stats.parsed;
-      if (!options_.cache_dir.empty()) {
-        StoreCachedSummary(options_.cache_dir, summary);
-      }
-    }
+    SourceText text;
+    if (!LoadSource(path, &text)) return nullptr;
+    const std::string ext = fs::path(path).extension().string();
+    FileSummary summary =
+        BuildSummary(text, LayerOfPath(path), ext == ".h" || ext == ".hpp");
     return &files_.emplace(path, std::move(summary)).first->second;
   }
 
@@ -335,29 +318,6 @@ class Analyzer {
     ctx.stats = &result_.stats;
     RunGraphPasses(ctx);
     RunConcPass(ctx);
-  }
-
-  void ApplyBaseline() {
-    if (options_.baseline_path.empty()) return;
-    std::map<std::string, std::string> entries;
-    if (!LoadBaseline(options_.baseline_path, &entries)) return;
-    std::set<std::string> matched;
-    std::vector<Diagnostic> live;
-    for (Diagnostic& d : result_.diagnostics) {
-      const std::string fp = BaselineFingerprint(d, options_.include_root);
-      if (entries.count(fp) != 0) {
-        matched.insert(fp);
-        result_.baselined.push_back(std::move(d));
-      } else {
-        live.push_back(std::move(d));
-      }
-    }
-    result_.diagnostics = std::move(live);
-    for (const auto& [fp, text] : entries) {
-      if (matched.count(fp) == 0) {
-        result_.stale_baseline_entries.push_back(text);
-      }
-    }
   }
 
   // ---- v1 rule families, emitted from the pass-1 summaries ----

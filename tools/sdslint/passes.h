@@ -2,7 +2,7 @@
 // passes: pass 2/3 (graph.cpp: call-graph linkage + determinism taint) and
 // pass 4 (conc.cpp: concurrency discipline). The passes never touch raw text
 // except conc.cpp's lazy body re-reads; everything else flows through the
-// pass-1 FileSummary IR so the analysis cache stays authoritative.
+// pass-1 FileSummary IR.
 #pragma once
 
 #include <functional>

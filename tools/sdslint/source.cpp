@@ -78,18 +78,28 @@ void StripFile(SourceText& f) {
   }
 }
 
-}  // namespace
-
-bool LoadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return true;
+// Splits the raw rule list of an allow(...) comment on commas/whitespace.
+std::vector<std::string> SplitAllowRules(const std::string& raw) {
+  std::vector<std::string> rules;
+  std::string cur;
+  for (char c : raw + ",") {
+    if (c == ',' || c == ' ' || c == '\t') {
+      if (!cur.empty()) rules.push_back(cur);
+      cur.clear();
+    } else {
+      cur.push_back(c);
+    }
+  }
+  return rules;
 }
 
-void BuildSourceText(const std::string& path, const std::string& bytes,
-                     SourceText* out) {
+}  // namespace
+
+bool LoadSource(const std::string& path, SourceText* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   out->path = path;
   out->raw.clear();
   out->code.clear();
@@ -109,27 +119,7 @@ void BuildSourceText(const std::string& path, const std::string& bytes,
     }
   }
   StripFile(*out);
-}
-
-bool LoadSource(const std::string& path, SourceText* out) {
-  std::string bytes;
-  if (!LoadFileBytes(path, &bytes)) return false;
-  BuildSourceText(path, bytes, out);
   return true;
-}
-
-std::vector<std::string> SplitAllowRules(const std::string& raw) {
-  std::vector<std::string> rules;
-  std::string cur;
-  for (char c : raw + ",") {
-    if (c == ',' || c == ' ' || c == '\t') {
-      if (!cur.empty()) rules.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  return rules;
 }
 
 std::string Trimmed(const std::string& s) {

@@ -19,7 +19,7 @@ namespace sdslint {
 
 // Builds the summary for a loaded file. `path` must already be the generic
 // lexically-normal form; `layer` / `is_header` are precomputed by the
-// driver so cache hits skip the lookup too.
+// caller.
 FileSummary BuildSummary(const SourceText& text, const std::string& layer,
                          bool is_header);
 
