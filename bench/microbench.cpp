@@ -10,7 +10,6 @@
 
 #include "common/rng.h"
 #include "detect/boundary.h"
-#include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
 #include "detect/period.h"
 #include "signal/acf.h"
@@ -177,8 +176,8 @@ void BM_CacheCleansingSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheCleansingSweep);
 
-// The same hot path with a telemetry handle attached but the profiler left
-// DISABLED (the default) — the documented "observability off" configuration.
+// The same hot path with a telemetry handle attached but every tracer layer
+// disabled: the cost of the instrumented_ branch alone.
 // Regression guard for the single-branch cost claim: this must stay within
 // noise of BM_CacheAccess.
 void BM_CacheAccessInstrumentedOff(benchmark::State& state) {
@@ -199,49 +198,6 @@ void BM_CacheAccessInstrumentedOff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_CacheAccessInstrumentedOff);
-
-// Cost of one scoped span on a DISABLED profiler: the branch every
-// instrumentation site pays when profiling is off at runtime.
-void BM_SpanDisabled(benchmark::State& state) {
-  telemetry::SpanProfiler profiler;
-  const telemetry::SpanId id = profiler.RegisterSpan("bench.disabled");
-  for (auto _ : state) {
-    SDS_PROFILE_SPAN(&profiler, id);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpanDisabled);
-
-// Cost of one enter/exit pair on an ENABLED profiler (wall clock: two
-// steady_clock reads plus tree bookkeeping; this bounds the overhead a
-// profiled run adds per instrumented scope).
-void BM_SpanEnterExit(benchmark::State& state) {
-  telemetry::SpanProfiler profiler;
-  const telemetry::SpanId id = profiler.RegisterSpan("bench.enabled");
-  profiler.Enable(telemetry::ProfileClock::kWall);
-  profiler.set_record_slices(false);
-  for (auto _ : state) {
-    SDS_PROFILE_SPAN(&profiler, id);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpanEnterExit);
-
-// As above but retaining slices in the drop-oldest ring (the Perfetto
-// export configuration).
-void BM_SpanEnterExitWithSlices(benchmark::State& state) {
-  telemetry::SpanProfiler profiler;
-  const telemetry::SpanId id = profiler.RegisterSpan("bench.sliced");
-  profiler.Enable(telemetry::ProfileClock::kWall);
-  for (auto _ : state) {
-    SDS_PROFILE_SPAN(&profiler, id);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpanEnterExitWithSlices);
 
 }  // namespace
 

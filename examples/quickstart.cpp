@@ -14,10 +14,10 @@
 //      ranked-suspect forensic report (DESIGN.md section 15).
 //
 // Build & run:  ./build/examples/quickstart
-//               ./build/examples/quickstart --trace_out quickstart_trace.json
-// The optional --trace_out writes a Chrome/Perfetto trace of the whole run
-// (open in ui.perfetto.dev) with one track per telemetry layer plus the
-// profiler's span slices.
+//               ./build/examples/quickstart --telemetry_out quickstart.jsonl
+// The optional --telemetry_out writes the run's telemetry JSONL stream
+// (events, audit records, metrics), the same format the benches write;
+// read it with ./build/tools/trace_inspect.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -27,7 +27,6 @@
 #include "detect/sds_detector.h"
 #include "eval/experiment.h"
 #include "eval/scenario.h"
-#include "telemetry/perfetto.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeline.h"
 
@@ -35,18 +34,16 @@ int main(int argc, char** argv) {
   using namespace sds;
   Flags flags;
   if (!flags.Parse(argc, argv,
-                   {{"trace_out",
-                     "write a Perfetto/Chrome trace JSON of the run here"}})) {
+                   {{"telemetry_out",
+                     "write the run's telemetry JSONL to this path"}})) {
     return flags.help_requested() ? 0 : 1;
   }
-  const std::string trace_out = flags.GetString("trace_out", "");
+  const std::string telemetry_out = flags.GetString("telemetry_out", "");
   const TickClock clock;  // 1 tick = T_PCM = 0.01 s of virtual time
 
   // One telemetry handle for the whole run: attaching it to the machine
-  // config is the only wiring observability needs. The span profiler rides
-  // on the same handle; enabling it here times every instrumented layer.
+  // config is the only wiring observability needs.
   telemetry::Telemetry telemetry;
-  telemetry.profiler().Enable(telemetry::ProfileClock::kWall);
 
   // -- Stage 1: profile the application while the VM is known clean. ------
   eval::ScenarioConfig base;
@@ -131,14 +128,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(telemetry.tracer().emitted()),
       telemetry.audit().size());
 
-  if (!trace_out.empty()) {
-    if (!telemetry::WritePerfettoTraceFile(telemetry, trace_out)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+  if (!telemetry_out.empty()) {
+    if (!telemetry.WriteJsonlFile(telemetry_out)) {
+      std::fprintf(stderr, "cannot write %s\n", telemetry_out.c_str());
       return 1;
     }
-    std::printf("perfetto trace written to %s (open in ui.perfetto.dev or "
-                "chrome://tracing)\n",
-                trace_out.c_str());
+    std::printf("telemetry written to %s (read it with tools/trace_inspect)\n",
+                telemetry_out.c_str());
   }
   return 0;
 }

@@ -85,10 +85,6 @@ MitigationEngine::MitigationEngine(Cluster& cluster, const VmRef& victim,
     owned_actuator_ = std::make_unique<Actuator>(cluster);
     actuator_ = owned_actuator_.get();
   }
-  if (tel::Telemetry* t = cluster_.machine(victim_.host).telemetry()) {
-    prof_ = &t->profiler();
-    span_mitigate_ = prof_->RegisterSpan("cluster.mitigate");
-  }
 }
 
 void MitigationEngine::OnAlarm(OwnerId attributed_attacker) {
@@ -96,8 +92,6 @@ void MitigationEngine::OnAlarm(OwnerId attributed_attacker) {
       config_.policy == MitigationPolicy::kNone) {
     return;
   }
-  SDS_PROFILE_SPAN(prof_, span_mitigate_);
-
   alarm_tick_ = cluster_.now();
   alarm_host_ = victim_.host;
   attacker_ = attributed_attacker;

@@ -48,7 +48,6 @@
 #include "common/types.h"
 
 namespace sds::telemetry {
-class SpanProfiler;
 class Telemetry;
 }  // namespace sds::telemetry
 
@@ -208,12 +207,6 @@ class MitigationEngine {
   MitigationConfig config_;
   std::unique_ptr<Actuator> owned_actuator_;
   Actuator* actuator_ = nullptr;
-
-  // "cluster.mitigate" profiler span around each alarm response (resolved
-  // from the victim host's telemetry handle at construction). Span id is a
-  // raw integer (telemetry::SpanId).
-  telemetry::SpanProfiler* prof_ = nullptr;
-  std::uint32_t span_mitigate_ = 0;
 
   // Telemetry handle pinned ONCE at alarm time to the victim's alarm-time
   // host. Every record of the incident lands there, even after a migration

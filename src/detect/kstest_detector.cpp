@@ -72,10 +72,6 @@ KsTestDetector::KsTestDetector(vm::Hypervisor& hypervisor, OwnerId target,
       gate_(hypervisor, source_, degrade, "KStest") {
   SDS_CHECK(source_.target() == target,
             "SampleSource monitors a different VM than the detector");
-  if (tel::Telemetry* t = hypervisor_.telemetry()) {
-    prof_ = &t->profiler();
-    span_tick_ = prof_->RegisterSpan("detect.kstest.tick");
-  }
   SDS_CHECK(params.w_r > 0 && params.w_m > 0, "windows must be positive");
   SDS_CHECK(params.l_r >= params.w_r, "L_R must cover W_R");
   SDS_CHECK(params.l_m >= params.w_m, "L_M must cover W_M");
@@ -535,7 +531,6 @@ bool KsTestDetector::RestoreState(SnapshotReader& r) {
 }
 
 void KsTestDetector::OnTick() {
-  SDS_PROFILE_SPAN(prof_, span_tick_);
   switch (state_) {
     case State::kCollectingReference:
     case State::kCollectingMonitored:

@@ -163,10 +163,6 @@ class KsTestDetector final : public Detector {
   vm::Hypervisor& hypervisor_;
   std::unique_ptr<pcm::PcmSampler> owned_sampler_;
   pcm::SampleSource& source_;
-  // "detect.kstest.tick" profiler span around OnTick (collection + KS
-  // decisions + scheduling). Span id is a raw integer (telemetry::SpanId).
-  telemetry::SpanProfiler* prof_ = nullptr;
-  std::uint32_t span_tick_ = 0;
   KsTestParams params_;
   KsIdentificationParams ident_;
   DegradingSampleGate gate_;

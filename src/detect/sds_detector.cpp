@@ -46,10 +46,6 @@ SdsDetector::SdsDetector(vm::Hypervisor& hypervisor, OwnerId target,
       profile_periodic_(profile.periodic()) {
   SDS_CHECK(source_.target() == target,
             "SampleSource monitors a different VM than the detector");
-  if (tel::Telemetry* t = hypervisor_.telemetry()) {
-    prof_ = &t->profiler();
-    span_tick_ = prof_->RegisterSpan("detect.sds.tick");
-  }
   Rewarm();
   SDS_CHECK(mode != SdsMode::kPeriodOnly || profile_periodic_,
             "SDS/P requires a periodic profile");
@@ -141,7 +137,6 @@ void SdsDetector::AuditPeriod(Tick tick, const char* channel,
 }
 
 void SdsDetector::OnTick() {
-  SDS_PROFILE_SPAN(prof_, span_tick_);
   const DegradingSampleGate::Outcome out = gate_.OnTick();
   if (out.rewarm) Rewarm();
   // No usable sample and nothing to substitute: analyzers freeze this tick.

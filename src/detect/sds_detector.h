@@ -118,10 +118,6 @@ class SdsDetector final : public Detector {
   std::unique_ptr<PeriodAnalyzer> p_access_;
   std::unique_ptr<PeriodAnalyzer> p_miss_;
   bool profile_periodic_;
-  // "detect.sds.tick" profiler span around OnTick (gate read + analyzers +
-  // auditing). Span id is a raw integer (telemetry::SpanId).
-  telemetry::SpanProfiler* prof_ = nullptr;
-  std::uint32_t span_tick_ = 0;
   bool was_active_ = false;
   std::uint64_t alarm_events_ = 0;
   Tick last_trigger_ = kInvalidTick;

@@ -57,8 +57,8 @@ void ParallelFor(int n, int threads, const std::function<void(int)>& fn);
 int DefaultThreads(int max_threads = 16);
 
 // Worker count RunCells uses for n cells: min(n, DefaultThreads()), or 1
-// when a telemetry handle is attached — its tracer and profiler are not
-// thread-safe, so cells sharing one handle must not overlap.
+// when a telemetry handle is attached — its tracer, metrics and audit log are
+// not thread-safe, so cells sharing one handle must not overlap.
 int CellThreads(int n, const telemetry::Telemetry* telemetry);
 
 // The sweep cell runner: runs cell(0) .. cell(n-1) through ParallelFor and

@@ -22,20 +22,12 @@ constexpr Tick kWarmupTicks = 500;
 
 // Emits eval-layer stage begin/end events carrying per-stage wall-clock time
 // and simulated-tick throughput, so experiment time budgets are visible in
-// the same stream as the simulator's own events, and opens a matching
-// profiler span (span_name must be a string literal) so per-tick spans nest
-// under their stage in the span tree. No-op without telemetry.
+// the same stream as the simulator's own events. No-op without telemetry.
 class StageSpan {
  public:
-  StageSpan(tel::Telemetry* t, const char* stage, const char* span_name,
-            Tick start_tick)
+  StageSpan(tel::Telemetry* t, const char* stage, Tick start_tick)
       : telemetry_(t), stage_(stage), start_tick_(start_tick) {
     if (!telemetry_) return;
-    if (telemetry_->profiler().enabled()) {
-      telemetry_->profiler().Enter(telemetry_->profiler().RegisterSpan(
-          span_name));
-      entered_ = true;
-    }
     if (telemetry_->tracer().enabled(tel::Layer::kEval)) {
       telemetry_->tracer().Emit(
           tel::MakeEvent(start_tick_, tel::Layer::kEval, "stage_begin")
@@ -47,7 +39,6 @@ class StageSpan {
   void Finish(Tick end_tick) {
     if (!telemetry_ || finished_) return;
     finished_ = true;
-    if (entered_) telemetry_->profiler().Exit();
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start_)
@@ -74,7 +65,6 @@ class StageSpan {
   const char* stage_;
   Tick start_tick_;
   bool finished_ = false;
-  bool entered_ = false;  // profiler span open, to be closed by Finish
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -183,7 +173,7 @@ DetectionRunResult RunDetectionRunImpl(const DetectionRunConfig& config,
   // Stage 1: profile (SDS schemes only; KStest self-calibrates online).
   detect::SdsProfile profile;
   if (config.scheme != Scheme::kKsTest) {
-    StageSpan span(telemetry, "profile", "eval.profile", 0);
+    StageSpan span(telemetry, "profile", 0);
     ScenarioConfig base = config.scenario;
     base.app = config.app;
     const auto clean =
@@ -240,7 +230,7 @@ DetectionRunResult RunDetectionRunImpl(const DetectionRunConfig& config,
   }
 
   // Stage 2: clean. Specificity over fixed decision intervals.
-  StageSpan clean_span(telemetry, "clean", "eval.clean", s.hypervisor->now());
+  StageSpan clean_span(telemetry, "clean", s.hypervisor->now());
   bool interval_false_positive = false;
   Tick interval_elapsed = 0;
   for (Tick t = 0; t < config.clean_ticks; ++t) {
@@ -276,8 +266,7 @@ DetectionRunResult RunDetectionRunImpl(const DetectionRunConfig& config,
                                             "attack_phase_begin")
                                  .Str("scheme", SchemeName(config.scheme)));
   }
-  StageSpan attack_span(telemetry, "attack", "eval.attack",
-                        s.hypervisor->now());
+  StageSpan attack_span(telemetry, "attack", s.hypervisor->now());
   for (Tick t = 0; t < config.attack_ticks; ++t) {
     s.hypervisor->RunTick();
     detector->OnTick();

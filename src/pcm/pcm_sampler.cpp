@@ -14,8 +14,6 @@ const char* ChannelName(Channel c) {
 PcmSampler::PcmSampler(vm::Hypervisor& hypervisor, OwnerId target)
     : hypervisor_(hypervisor), target_(target) {
   if (tel::Telemetry* t = hypervisor_.telemetry()) {
-    prof_ = &t->profiler();
-    span_sample_ = prof_->RegisterSpan("pcm.sample");
     t_samples_ = t->metrics().GetCounter("pcm.samples");
     t_sessions_ = t->metrics().GetCounter("pcm.monitor_sessions");
     t_missed_ticks_ = t->metrics().GetCounter("pcm.missed_ticks");
@@ -55,7 +53,6 @@ void PcmSampler::Stop() {
 }
 
 PcmSample PcmSampler::Sample() {
-  SDS_PROFILE_SPAN(prof_, span_sample_);
   SDS_CHECK(started_, "sampler not started");
   const Tick now = hypervisor_.now();
   SDS_CHECK(now != last_read_tick_,

@@ -107,10 +107,6 @@ class PcmSampler final : public SampleSource {
   Tick last_span_ = 1;
   std::uint64_t missed_ticks_ = 0;
   // Telemetry instrument slots (resolved from the hypervisor's handle).
-  // "pcm.sample" wraps each counter read; nests under the caller's span
-  // (e.g. a detector's tick span) when one is open.
-  telemetry::SpanProfiler* prof_ = nullptr;
-  std::uint32_t span_sample_ = 0;
   telemetry::Counter* t_samples_ = nullptr;
   telemetry::Counter* t_sessions_ = nullptr;
   telemetry::Counter* t_missed_ticks_ = nullptr;

@@ -22,8 +22,6 @@ Machine::Machine(const MachineConfig& config)
   }
   if (tel::Telemetry* t = config_.telemetry) {
     instrumented_ = true;
-    prof_ = &t->profiler();
-    span_tick_ = prof_->RegisterSpan("sim.tick");
     tel::MetricsRegistry& m = t->metrics();
     t_ticks_ = m.GetCounter("sim.machine.ticks");
     t_hits_ = m.GetCounter("sim.cache.hits");
@@ -67,7 +65,6 @@ void Machine::SyncTelemetry() {
 }
 
 void Machine::BeginTick() {
-  SDS_PROFILE_SPAN(prof_, span_tick_);
   bus_.BeginTick();
   dram_.BeginTick();
   if (ledger_) ledger_->RecordTickStart();

@@ -23,7 +23,6 @@ namespace sds::telemetry {
 class Telemetry;
 class Counter;
 class Histogram;
-class SpanProfiler;
 }  // namespace sds::telemetry
 
 namespace sds::sim {
@@ -174,11 +173,6 @@ class Machine {
   bool saturation_traced_ = false;
 
   // Instrument slots, resolved once at construction (nullptr when detached).
-  // prof_/span_tick_ drive the "sim.tick" profiler span around BeginTick;
-  // span_tick_ holds a telemetry::SpanId (kept as a raw integer so this
-  // header needs only a forward declaration).
-  telemetry::SpanProfiler* prof_ = nullptr;
-  std::uint32_t span_tick_ = 0;
   telemetry::Counter* t_ticks_ = nullptr;
   telemetry::Counter* t_hits_ = nullptr;
   telemetry::Counter* t_misses_ = nullptr;

@@ -2,13 +2,16 @@
 
 #include <ostream>
 
+#include "telemetry/metrics.h"
+
 namespace sds::telemetry {
 
 void WriteAuditJson(std::ostream& os, const AuditRecord& r) {
   os << "{\"type\":\"audit\",\"tick\":" << r.tick << ",\"detector\":\""
      << r.detector << "\",\"check\":\"" << r.check << "\",\"channel\":\""
-     << r.channel << "\",\"value\":" << r.value << ",\"lower\":" << r.lower
-     << ",\"upper\":" << r.upper << ",\"margin\":" << r.margin
+     << r.channel << "\",\"value\":" << JsonNumber{r.value}
+     << ",\"lower\":" << JsonNumber{r.lower} << ",\"upper\":"
+     << JsonNumber{r.upper} << ",\"margin\":" << JsonNumber{r.margin}
      << ",\"violation\":" << (r.violation ? "true" : "false")
      << ",\"consecutive\":" << r.consecutive
      << ",\"alarm\":" << (r.alarm ? "true" : "false") << '}';

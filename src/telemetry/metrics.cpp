@@ -67,6 +67,11 @@ std::vector<double> LatencyNsBounds() {
   return {50.0, 80.0, 120.0, 200.0, 400.0, 800.0, 1600.0, 6400.0};
 }
 
+std::ostream& operator<<(std::ostream& os, JsonNumber n) {
+  if (std::isfinite(n.value)) return os << n.value;
+  return os << "null";
+}
+
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   const auto it = counter_index_.find(name);
   if (it != counter_index_.end()) return &counters_[it->second];
@@ -96,16 +101,16 @@ void MetricsRegistry::WriteJsonl(std::ostream& os) const {
   }
   for (const auto& [name, idx] : gauge_index_) {
     os << "{\"type\":\"metric\",\"metric\":\"gauge\",\"name\":\"" << name
-       << "\",\"value\":" << gauges_[idx].value() << "}\n";
+       << "\",\"value\":" << JsonNumber{gauges_[idx].value()} << "}\n";
   }
   for (const auto& [name, idx] : histogram_index_) {
     const Histogram& h = histograms_[idx];
     os << "{\"type\":\"metric\",\"metric\":\"histogram\",\"name\":\"" << name
-       << "\",\"count\":" << h.count() << ",\"sum\":" << h.sum()
+       << "\",\"count\":" << h.count() << ",\"sum\":" << JsonNumber{h.sum()}
        << ",\"bounds\":[";
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i) os << ',';
-      os << h.bounds()[i];
+      os << JsonNumber{h.bounds()[i]};
     }
     os << "],\"buckets\":[";
     for (std::size_t i = 0; i < h.buckets().size(); ++i) {

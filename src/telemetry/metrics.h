@@ -87,6 +87,14 @@ double QuantileFromBuckets(const std::vector<double>& bounds,
 // Default bucket bounds for latency-in-nanoseconds histograms.
 std::vector<double> LatencyNsBounds();
 
+// Streams a double as a JSON number: the stream's own formatting when finite,
+// `null` for NaN and infinities (JSON has no spelling for those). Every
+// telemetry JSONL writer prints its doubles through this.
+struct JsonNumber {
+  double value;
+};
+std::ostream& operator<<(std::ostream& os, JsonNumber n);
+
 class MetricsRegistry {
  public:
   // All three return a stable pointer; re-registering a name returns the

@@ -21,7 +21,6 @@ void Telemetry::WriteJsonl(std::ostream& os) {
       ->Set(static_cast<double>(tracer_.dropped()));
   tracer_.FlushJsonl(os);
   audit_.WriteJsonl(os);
-  profiler_.WriteJsonl(os);
   metrics_.WriteJsonl(os);
 }
 

@@ -18,7 +18,6 @@
 
 #include "telemetry/audit.h"
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "telemetry/tracer.h"
 
 namespace sds::telemetry {
@@ -37,16 +36,11 @@ class Telemetry {
   const EventTracer& tracer() const { return tracer_; }
   AuditLog& audit() { return audit_; }
   const AuditLog& audit() const { return audit_; }
-  // The span profiler starts DISABLED; call profiler().Enable() to pay for
-  // (and get) per-subsystem time attribution.
-  SpanProfiler& profiler() { return profiler_; }
-  const SpanProfiler& profiler() const { return profiler_; }
 
   // Writes the full telemetry state as one JSONL stream: a header line, the
-  // retained event window (tracer ring is drained), every audit record, the
-  // profiler's span tree (when it was enabled), and a final metrics
-  // snapshot. This is the format tools/trace_inspect reads and benches write
-  // via --telemetry_out.
+  // retained event window (tracer ring is drained), every audit record and
+  // a final metrics snapshot. This is the format tools/trace_inspect reads
+  // and benches write via --telemetry_out.
   void WriteJsonl(std::ostream& os);
   // Convenience wrapper; returns false when the file cannot be opened.
   bool WriteJsonlFile(const std::string& path);
@@ -55,7 +49,6 @@ class Telemetry {
   MetricsRegistry metrics_;
   EventTracer tracer_;
   AuditLog audit_;
-  SpanProfiler profiler_;
 };
 
 }  // namespace sds::telemetry

@@ -185,20 +185,6 @@ void WriteIncidentReport(std::ostream& os,
        << " ticks (" << clock.ToSeconds(inc.delay.detection_total())
        << "s)\n";
   }
-
-  // Join the profiler: the tick-domain "detector compute" stage above, in
-  // measured wall nanoseconds per sample (only meaningful on the wall clock).
-  const SpanProfiler& profiler = telemetry.profiler();
-  if (profiler.clock() != ProfileClock::kWall) return;
-  for (const char* span :
-       {"detect.sds.tick", "detect.kstest.tick", "pcm.sample"}) {
-    const SpanNodeStats agg = profiler.AggregateByName(span);
-    if (agg.count == 0) continue;
-    os << "profiled " << span << ": "
-       << agg.total / agg.count << " ns/call over " << agg.count
-       << " calls (self "
-       << agg.self / agg.count << " ns/call)\n";
-  }
 }
 
 }  // namespace sds::telemetry

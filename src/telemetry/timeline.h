@@ -1,6 +1,5 @@
-// Incident timeline reconstruction: joins the tracer's event window, the
-// detector audit log and the span profiler into one causal chain per alarm
-// episode —
+// Incident timeline reconstruction: joins the tracer's event window and the
+// detector audit log into one causal chain per alarm episode —
 //
 //   attack phase begins -> first observable contention -> detector's first
 //   post-attack check -> first violating check of the decisive streak ->
@@ -22,8 +21,9 @@
 //
 // The reconstruction is driven by AUDIT records, which unlike tracer events
 // survive ring overflow, so it stays correct on long runs; events only
-// refine the picture (first bus saturation / cross-owner eviction), and the
-// profiler contributes the wall-time cost of the detector's checks.
+// refine the picture (first bus saturation / cross-owner eviction). The
+// wall-time cost of the detector's checks is perfbench's to measure
+// (detect.on_tick_ns_p50/p99, pcm.sample_ns_p50), not the timeline's.
 #pragma once
 
 #include <iosfwd>
@@ -77,9 +77,8 @@ struct TimelineOptions {
 std::vector<Incident> ReconstructIncidents(const Telemetry& telemetry,
                                            const TimelineOptions& options = {});
 
-// Human-readable report: one causal chain per incident plus, when the span
-// profiler holds data, the measured wall cost of the detector's per-sample
-// work (the "detector compute" stage in real nanoseconds rather than ticks).
+// Human-readable report: one causal chain per incident, each stage in ticks
+// and simulated seconds.
 void WriteIncidentReport(std::ostream& os,
                          const std::vector<Incident>& incidents,
                          const Telemetry& telemetry,

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "telemetry/metrics.h"
 
 namespace sds::telemetry {
 
@@ -90,7 +91,7 @@ void WriteNumber(std::ostream& os, double v) {
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
     os << static_cast<long long>(v);
   } else {
-    os << v;
+    os << JsonNumber{v};
   }
 }
 

@@ -18,9 +18,6 @@ Hypervisor::Hypervisor(sim::Machine& machine, const HypervisorConfig& config,
                 config.monitor_load_fraction < 1.0,
             "monitor load fraction must be in [0, 1)");
   if (tel::Telemetry* t = machine_.telemetry()) {
-    prof_ = &t->profiler();
-    span_tick_ = prof_->RegisterSpan("vm.tick");
-    span_schedule_ = prof_->RegisterSpan("vm.schedule");
     tel::MetricsRegistry& m = t->metrics();
     t_scheduled_ops_ = m.GetCounter("vm.scheduled_ops");
     t_monitor_dropped_ = m.GetCounter("vm.monitor_dropped_ops");
@@ -105,7 +102,6 @@ void Hypervisor::DetachMonitor() {
 }
 
 void Hypervisor::RunTick() {
-  SDS_PROFILE_SPAN(prof_, span_tick_);
   machine_.BeginTick();
 
   const bool throttling = throttle_remaining_ > 0;
@@ -132,7 +128,6 @@ void Hypervisor::RunTick() {
   std::uint64_t dropped_this_tick = 0;
 
   // Round-robin service in chunks, starting from a rotating offset.
-  SDS_PROFILE_SPAN(prof_, span_schedule_);
   const std::size_t start =
       static_cast<std::size_t>(machine_.now()) % slots_.size();
   std::size_t remaining = slots_.size();

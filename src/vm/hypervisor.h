@@ -28,7 +28,6 @@
 namespace sds::telemetry {
 class Counter;
 class Gauge;
-class SpanProfiler;
 }  // namespace sds::telemetry
 
 namespace sds::vm {
@@ -112,12 +111,6 @@ class Hypervisor {
   std::vector<Slot> slots_;
 
   // Telemetry instrument slots (see sim::Machine for the wiring pattern).
-  // "vm.tick" wraps the whole of RunTick; "vm.schedule" wraps the round-robin
-  // service loop, so vm.tick self-time is slot collection + throttling
-  // bookkeeping. Span ids are raw integers (telemetry::SpanId).
-  telemetry::SpanProfiler* prof_ = nullptr;
-  std::uint32_t span_tick_ = 0;
-  std::uint32_t span_schedule_ = 0;
   telemetry::Counter* t_scheduled_ops_ = nullptr;
   telemetry::Counter* t_monitor_dropped_ = nullptr;
   telemetry::Counter* t_throttle_windows_ = nullptr;

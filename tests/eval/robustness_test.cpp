@@ -231,8 +231,8 @@ TEST(RobustnessSweepTest, ParallelSweepEqualsSerialRuns) {
 }
 
 TEST(RobustnessSweepTest, TelemetrySweepRunsSeriallyAndMatches) {
-  // A shared telemetry handle forces the serial path (tracer and profiler are
-  // not thread-safe); the sweep must still complete and match.
+  // A shared telemetry handle forces the serial path (its tracer, metrics and
+  // audit log are not thread-safe); the sweep must still complete and match.
   telemetry::Telemetry telemetry;
   RobustnessSweepConfig config = SmallGrid();
   config.runs_per_cell = 1;

@@ -1,9 +1,12 @@
 // Unit tests for the telemetry subsystem: metrics registry semantics, event
 // tracer ring-buffer overflow behavior, audit log serialization, and the
-// combined JSONL stream format read by tools/trace_inspect.
+// combined JSONL stream format read by tools/trace_inspect, which every line
+// must keep as strict JSON.
 #include "telemetry/telemetry.h"
 
+#include <cctype>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,8 +15,177 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/experiment.h"
+
 namespace sds::telemetry {
 namespace {
+
+// Minimal recursive-descent JSON validator: enough of RFC 8259 to reject any
+// malformed output the writers could plausibly produce (unbalanced braces,
+// bare NaN, trailing commas, unescaped control characters in strings).
+class JsonValidator {
+ public:
+  explicit JsonValidator(const std::string& text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  bool Validate() {
+    SkipWs();
+    if (!Value()) return false;
+    SkipWs();
+    return p_ == end_;
+  }
+
+ private:
+  void SkipWs() {
+    while (p_ != end_ &&
+           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
+      ++p_;
+    }
+  }
+  bool Literal(const char* lit) {
+    const std::size_t n = std::strlen(lit);
+    if (static_cast<std::size_t>(end_ - p_) < n) return false;
+    if (std::strncmp(p_, lit, n) != 0) return false;
+    p_ += n;
+    return true;
+  }
+  bool String() {
+    if (p_ == end_ || *p_ != '"') return false;
+    ++p_;
+    while (p_ != end_ && *p_ != '"') {
+      const unsigned char c = static_cast<unsigned char>(*p_);
+      if (c < 0x20) return false;  // raw control character
+      if (*p_ == '\\') {
+        ++p_;
+        if (p_ == end_) return false;
+        switch (*p_) {
+          case '"': case '\\': case '/': case 'b': case 'f':
+          case 'n': case 'r': case 't':
+            ++p_;
+            break;
+          case 'u': {
+            ++p_;
+            for (int i = 0; i < 4; ++i, ++p_) {
+              if (p_ == end_ || !std::isxdigit(static_cast<unsigned char>(*p_)))
+                return false;
+            }
+            break;
+          }
+          default:
+            return false;
+        }
+      } else {
+        ++p_;
+      }
+    }
+    if (p_ == end_) return false;
+    ++p_;  // closing quote
+    return true;
+  }
+  bool Number() {
+    const char* start = p_;
+    if (p_ != end_ && *p_ == '-') ++p_;
+    if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_)))
+      return false;
+    if (*p_ == '0') {
+      ++p_;
+    } else {
+      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) ++p_;
+    }
+    if (p_ != end_ && *p_ == '.') {
+      ++p_;
+      if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_)))
+        return false;
+      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) ++p_;
+    }
+    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_)))
+        return false;
+      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) ++p_;
+    }
+    return p_ != start;
+  }
+  bool Object() {
+    ++p_;  // '{'
+    SkipWs();
+    if (p_ != end_ && *p_ == '}') {
+      ++p_;
+      return true;
+    }
+    while (true) {
+      SkipWs();
+      if (!String()) return false;
+      SkipWs();
+      if (p_ == end_ || *p_ != ':') return false;
+      ++p_;
+      SkipWs();
+      if (!Value()) return false;
+      SkipWs();
+      if (p_ == end_) return false;
+      if (*p_ == ',') {
+        ++p_;
+        continue;
+      }
+      if (*p_ == '}') {
+        ++p_;
+        return true;
+      }
+      return false;
+    }
+  }
+  bool Array() {
+    ++p_;  // '['
+    SkipWs();
+    if (p_ != end_ && *p_ == ']') {
+      ++p_;
+      return true;
+    }
+    while (true) {
+      SkipWs();
+      if (!Value()) return false;
+      SkipWs();
+      if (p_ == end_) return false;
+      if (*p_ == ',') {
+        ++p_;
+        continue;
+      }
+      if (*p_ == ']') {
+        ++p_;
+        return true;
+      }
+      return false;
+    }
+  }
+  bool Value() {
+    if (p_ == end_) return false;
+    switch (*p_) {
+      case '{':
+        return Object();
+      case '[':
+        return Array();
+      case '"':
+        return String();
+      case 't':
+        return Literal("true");
+      case 'f':
+        return Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        return Number();
+    }
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+bool IsValidJson(const std::string& text) {
+  return JsonValidator(text).Validate();
+}
+
 
 TEST(MetricsTest, CounterStartsAtZeroAndAccumulates) {
   MetricsRegistry registry;
@@ -248,6 +420,16 @@ TEST(AuditTest, RecordsAccumulateAndSerialize) {
   EXPECT_NE(json.find("\"consecutive\":2"), std::string::npos);
 }
 
+// The whole Telemetry::WriteJsonl stream, one string per line.
+std::vector<std::string> StreamLines(Telemetry& telemetry) {
+  std::ostringstream os;
+  telemetry.WriteJsonl(os);
+  std::istringstream is(os.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(TelemetryTest, WriteJsonlEmitsHeaderEventsAuditsMetrics) {
   Telemetry telemetry;
   telemetry.metrics().GetCounter("c")->Add(1);
@@ -257,17 +439,13 @@ TEST(TelemetryTest, WriteJsonlEmitsHeaderEventsAuditsMetrics) {
   r.check = "boundary";
   telemetry.audit().Append(r);
 
-  std::ostringstream os;
-  telemetry.WriteJsonl(os);
-  std::istringstream is(os.str());
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(is, line)) lines.push_back(line);
-  ASSERT_GE(lines.size(), 4u);
+  const std::vector<std::string> lines = StreamLines(telemetry);
+  ASSERT_GE(lines.size(), 5u);
   EXPECT_NE(lines[0].find("\"type\":\"header\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"type\":\"event\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"type\":\"audit\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"type\":\"metric\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"type\":\"tracer_stats\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"type\":\"event\""), std::string::npos);
+  EXPECT_NE(lines[3].find("\"type\":\"audit\""), std::string::npos);
+  EXPECT_NE(lines[4].find("\"type\":\"metric\""), std::string::npos);
 }
 
 TEST(TelemetryTest, WriteJsonlFileRoundTripsThroughFilesystem) {
@@ -280,6 +458,62 @@ TEST(TelemetryTest, WriteJsonlFileRoundTripsThroughFilesystem) {
   std::string first;
   ASSERT_TRUE(static_cast<bool>(std::getline(in, first)));
   EXPECT_NE(first.find("\"type\":\"header\""), std::string::npos);
+}
+
+TEST(JsonValidatorSelfTest, AcceptsValidRejectsInvalid) {
+  EXPECT_TRUE(IsValidJson("{\"a\":[1,2.5,-3e4,null,true,\"x\\n\"]}"));
+  EXPECT_TRUE(IsValidJson("{}"));
+  EXPECT_FALSE(IsValidJson("{\"a\":}"));
+  EXPECT_FALSE(IsValidJson("{\"a\":1,}"));
+  EXPECT_FALSE(IsValidJson("{\"a\":NaN}"));
+  EXPECT_FALSE(IsValidJson("{\"a\":1}garbage"));
+  EXPECT_FALSE(IsValidJson("{\"a\":\"unterminated}"));
+}
+
+// A short monitored run with every writer attached: the simulator's events,
+// the detector's audit records, the eval stage gauges and the metrics the
+// layers register. Every line of the stream must be strict JSON.
+TEST(TelemetryTest, MonitoredRunStreamIsStrictJson) {
+  Telemetry telemetry;
+  eval::DetectionRunConfig config;  // kmeans under a bus-lock attack, SDS
+  config.profile_ticks = 3000;
+  config.clean_ticks = 2000;
+  config.attack_ticks = 3000;
+  config.scenario.machine.telemetry = &telemetry;
+  (void)eval::RunDetectionRun(config, /*seed=*/7);
+  ASSERT_GT(telemetry.audit().size(), 0u);
+
+  const std::vector<std::string> lines = StreamLines(telemetry);
+  ASSERT_GT(lines.size(), telemetry.audit().size());
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(IsValidJson(line)) << line;
+  }
+}
+
+// NaN and infinities have no JSON spelling; every writer prints them as null.
+TEST(TelemetryTest, NonFiniteNumbersBecomeNull) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Telemetry telemetry;
+  telemetry.tracer().Emit(
+      MakeEvent(3, Layer::kDetect, "check").Num("value", nan).Num("z", -inf));
+  telemetry.audit().Append({.value = inf, .margin = nan});
+  telemetry.metrics().GetGauge("g.nan")->Set(nan);
+  Histogram* h = telemetry.metrics().GetHistogram("h", {1.0, inf});
+  h->Observe(2.0);
+
+  // Lines: header, tracer_stats, event, audit, then the gauges by name
+  // (g.nan, telemetry.tracer.{dropped,emitted}) and the histogram.
+  const std::vector<std::string> lines = StreamLines(telemetry);
+  ASSERT_EQ(lines.size(), 8u);
+  for (const std::string& line : lines) EXPECT_TRUE(IsValidJson(line)) << line;
+  EXPECT_NE(lines[2].find("\"value\":null,\"z\":null"), std::string::npos);
+  EXPECT_NE(lines[3].find("\"value\":null,\"lower\":0,\"upper\":0,"
+                          "\"margin\":null"),
+            std::string::npos);
+  EXPECT_NE(lines[4].find("\"name\":\"g.nan\",\"value\":null"),
+            std::string::npos);
+  EXPECT_NE(lines[7].find("\"sum\":2,\"bounds\":[1,null]"), std::string::npos);
 }
 
 }  // namespace

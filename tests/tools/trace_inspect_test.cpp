@@ -77,9 +77,9 @@ TEST(TraceInspectFixtures, Telemetry) {
   const Output run = Inspect(Fixture("telemetry.jsonl"), "--audit --events=3");
   ExpectLines(
       run,
-      {"lines=20 records=20 empty=0 unparseable=0 unknown=0",
+      {"lines=17 records=17 empty=0 unparseable=0 unknown=0",
        "emitted=40 dropped=12 audit_records=6",
-       "parsed: 7 events, 6 audit records, 2 metrics, 2 profiler spans",
+       "parsed: 7 events, 6 audit records, 2 metrics\n",
        "tracer ring: capacity=28 retained=28 emitted=40 dropped=12 (30.0% of "
        "emitted events lost)",
        "dropped by layer: sim.bus=9 vm=3",
@@ -104,11 +104,6 @@ TEST(TraceInspectFixtures, Telemetry) {
        "t=     400 (   4.00s)  alarm_raised (audit) SDS",
        "t=     900 (   9.00s)  alarm_cleared  SDS",
        "t=     910 (   9.10s)  alarm_cleared (audit) SDS",
-       "(clock=wall, 5 slices retained, 1 dropped)",
-       "  vm.schedule                                          10            "
-       "0.5            0.2",
-       "    sim.access                                        100            "
-       "0.3            0.3",
        "  sim.cache.cross_owner_evictions      812433",
        "count=10 sum=550 p50=58.3333 p95=95.8333 p99=99.1667"});
   // --events=3 dumps the first three events, --audit every audit record.
@@ -124,6 +119,29 @@ TEST(TraceInspectFixtures, Telemetry) {
   ExpectLines(fault, {"per-event counts (layer=fault)",
                       "  fault/sample_dropped                              2"});
   ExpectAbsent(fault, {"sim.bus/lock_window_open", "dumped lines"});
+}
+
+// Two traced ticks in perfbench's span format: tick = vm.run_tick +
+// detect.on_tick, with a pcm.sample inside each detector call.
+//   tick            1000 + 1200 = 2200 ns, self 0
+//   vm.run_tick      700 +  800 = 1500 ns, 68.2% of tick
+//   detect.on_tick   300 +  400 =  700 ns, self 700 - 300 = 400, 31.8%
+//   pcm.sample       100 +  200 =  300 ns, 13.6%
+TEST(TraceInspectFixtures, PerfbenchLedger) {
+  const Output run = Inspect(Fixture("ledger.jsonl"));
+  ExpectLines(
+      run,
+      {"lines=8 records=8 empty=0 unparseable=0 unknown=0",
+       "perfbench ledger (8 spans)",
+       "  tick                                          2             2200"
+       "                0   100.0%\n"
+       "    detect.on_tick                              2              700"
+       "              400    31.8%\n"
+       "      pcm.sample                                2              300"
+       "              300    13.6%\n"
+       "    vm.run_tick                                 2             1500"
+       "             1500    68.2%\n"});
+  ExpectAbsent(run, {"\ntelemetry\n"});
 }
 
 TEST(TraceInspectFixtures, RollupAndSlo) {

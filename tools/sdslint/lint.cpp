@@ -131,16 +131,13 @@ bool RestrictedDependentAllowed(const RestrictedLayer& restricted,
 }
 
 // Wall-clock reads that are part of a layer's charter even though the layer
-// would otherwise be rank-checked. Today: the telemetry profiler's kWall
-// domain. telemetry is already non-deterministic by table, so these entries
-// are documentation-grade belt-and-braces — they keep the tool correct if
-// someone later flips telemetry deterministic.
+// would otherwise be rank-checked. Today: eval::Experiment's per-stage wall
+// time (the stage_end events and eval.stage.*.wall_ms gauges).
 struct BuiltinAllow {
   const char* path_fragment;
   const char* rule;
 };
 constexpr BuiltinAllow kBuiltinAllows[] = {
-    {"src/telemetry/", kRuleDetClock},
     {"src/eval/experiment", kRuleDetClock},  // wall-clock run timing report
 };
 

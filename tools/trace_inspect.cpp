@@ -3,7 +3,8 @@
 // pcm::WriteTraceJsonl), fleet rollup + SLO records (bench_fleetobs
 // --rollup_out), streaming-service accounting (bench_svc_chaos_sweep
 // --accounting_out), forensic incident reports (bench_attrib_sweep
-// --forensics_out), host-chaos runs (bench_hostchaos --trace_out) and the
+// --forensics_out), host-chaos runs (bench_hostchaos --trace_out), the
+// perfbench ledger (perfbench/run.py --trace 1) and the
 // `sdslint --stats --stats-out` payload. One record switch routes every line
 // to its family, and each family the stream carries prints one section.
 //
@@ -34,6 +35,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -77,7 +79,7 @@ void PrintTick(long long tick) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry: header, tracer_stats, event, audit, metric, profile, span.
+// Telemetry: header, tracer_stats, event, audit, metric.
 // ---------------------------------------------------------------------------
 
 struct LayerSummary {
@@ -96,7 +98,6 @@ struct AuditSummary {
 struct Telemetry {
   std::optional<JsonObject> header;
   std::optional<JsonObject> tracer_stats;
-  std::optional<JsonObject> profile;
   long long events = 0;
   long long audit_records = 0;
   std::map<std::string, LayerSummary> layers;
@@ -113,12 +114,11 @@ struct Telemetry {
   std::vector<JsonObject> alarm_timeline;  // alarm events + audits
   std::map<std::string, bool> alarm_state;  // per detector
   std::vector<JsonObject> metrics;
-  std::vector<JsonObject> spans;
   std::vector<std::string> dump;
 
   bool empty() const {
-    return !header && !tracer_stats && !profile && events == 0 &&
-           audit_records == 0 && metrics.empty() && spans.empty();
+    return !header && !tracer_stats && events == 0 && audit_records == 0 &&
+           metrics.empty();
   }
 
   void AddEvent(const JsonObject& o, const std::string& line,
@@ -181,9 +181,8 @@ struct Telemetry {
                   IntOr(*header, "events_dropped", 0),
                   IntOr(*header, "audit_records", 0));
     }
-    std::printf("  parsed: %lld events, %lld audit records, %zu metrics, "
-                "%zu profiler spans\n",
-                events, audit_records, metrics.size(), spans.size());
+    std::printf("  parsed: %lld events, %lld audit records, %zu metrics\n",
+                events, audit_records, metrics.size());
     if (tracer_stats) PrintTracerRing(*tracer_stats);
 
     std::printf("\nper-layer summary\n");
@@ -265,27 +264,6 @@ struct Telemetry {
       std::printf("\nalarm timeline: (no alarm events)\n");
     }
 
-    if (!spans.empty()) {
-      // The profiler's aggregated span tree, indented by nesting depth.
-      std::printf("\nprofiler span tree");
-      if (profile) {
-        std::printf(" (clock=%s, %lld slices retained, %lld dropped)",
-                    StrOr(*profile, "clock", "?").c_str(),
-                    IntOr(*profile, "slices_retained", 0),
-                    IntOr(*profile, "slices_dropped", 0));
-      }
-      std::printf("\n  %-44s %10s %14s %14s\n", "span", "count", "total",
-                  "self");
-      for (const auto& o : spans) {
-        const long long depth = std::clamp(IntOr(o, "depth", 0), 0LL, 16LL);
-        const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
-        std::printf("  %-44s %10lld %14.6g %14.6g\n",
-                    (indent + StrOr(o, "name", "?")).c_str(),
-                    IntOr(o, "count", 0), NumOr(o, "total", 0.0),
-                    NumOr(o, "self", 0.0));
-      }
-    }
-
     if (!metrics.empty()) {
       std::printf("\nmetrics snapshot\n");
       for (const auto& o : metrics) PrintMetric(o);
@@ -361,6 +339,71 @@ struct Telemetry {
       std::printf(" buckets=%s", StrOr(o, "buckets", "[]").c_str());
     }
     std::printf("\n");
+  }
+};
+
+// ---------------------------------------------------------------------------
+// perfbench ledger: span (perfbench/run.py --trace 1 writes
+// trace-<workload>.jsonl, one record per timed interval).
+// ---------------------------------------------------------------------------
+
+// Spans aggregate by their path from the root, so one name under different
+// parents stays apart. Self time is a node's total minus the time of the
+// spans directly under it; share is a node's total over its root's (the root
+// is `tick` on the monitored workloads). The harness writes each span after
+// its parent; a span whose parent has not appeared yet counts as a root.
+struct Ledger {
+  struct Node {
+    long long count = 0;
+    // ns, summed as doubles so damaged start/end values cannot overflow.
+    double total = 0.0;
+    double children = 0.0;
+  };
+  static constexpr long kMaxDepth = 16;
+
+  long long spans = 0;
+  // A node's key joins the names on its path from the root with \x01, which
+  // sorts below every printable character, so key order is tree order.
+  std::map<std::string, Node> nodes;
+  std::map<std::pair<long long, long long>, std::string> keys;  // (run, id)
+
+  static long Depth(const std::string& key) {
+    return std::count(key.begin(), key.end(), '\x01');
+  }
+
+  void Add(const JsonObject& o) {
+    ++spans;
+    const double ns = NumOr(o, "end_ns", 0.0) - NumOr(o, "start_ns", 0.0);
+    const long long run = IntOr(o, "run", 0);
+    const auto parent = keys.find({run, IntOr(o, "parent", -1)});
+    const bool nested =
+        parent != keys.end() && Depth(parent->second) < kMaxDepth;
+    const std::string name = StrOr(o, "name", "?");
+    const std::string key = nested ? parent->second + '\x01' + name : name;
+    nodes[key].count += 1;
+    nodes[key].total += ns;
+    if (nested) nodes[parent->second].children += ns;
+    const long long id = IntOr(o, "id", -1);
+    if (id >= 0) keys[{run, id}] = key;
+  }
+
+  void Print() const {
+    std::printf("\nperfbench ledger (%lld spans)\n", spans);
+    std::printf("  %-36s %10s %16s %16s %8s\n", "span", "count", "total ns",
+                "self ns", "share");
+    for (const auto& [key, node] : nodes) {
+      const std::string label =
+          std::string(static_cast<std::size_t>(Depth(key)) * 2, ' ') +
+          key.substr(key.rfind('\x01') + 1);
+      std::printf("  %-36s %10lld %16.0f %16.0f", label.c_str(), node.count,
+                  node.total, node.total - node.children);
+      const auto root = nodes.find(key.substr(0, key.find('\x01')));
+      if (root != nodes.end() && root->second.total > 0.0) {
+        std::printf(" %7.1f%%\n", 100.0 * node.total / root->second.total);
+      } else {
+        std::printf(" %8s\n", "-");
+      }
+    }
   }
 };
 
@@ -978,6 +1021,7 @@ int main(int argc, char** argv) {
   long long lines = 0, records = 0, empty_lines = 0, bad_lines = 0;
   std::map<std::string, long long> unknown_types;
   Telemetry telemetry;
+  Ledger ledger;
   Fleet fleet;
   Svc svc;
   std::vector<JsonObject> forensic_reports;
@@ -1009,10 +1053,8 @@ int main(int argc, char** argv) {
       telemetry.AddAudit(o, line, opt);
     } else if (type == "metric") {
       telemetry.metrics.push_back(o);
-    } else if (type == "profile") {
-      telemetry.profile = o;
     } else if (type == "span") {
-      telemetry.spans.push_back(o);
+      ledger.Add(o);
     } else if (type == "rollup") {
       fleet.AddRollup(o, opt.metric);
     } else if (type == "rollup_stats") {
@@ -1065,6 +1107,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   if (!telemetry.empty()) telemetry.Print(opt);
+  if (ledger.spans > 0) ledger.Print();
   if (!fleet.empty()) fleet.Print(opt);
   if (!svc.empty()) svc.Print(opt);
   if (!forensic_reports.empty()) PrintForensics(forensic_reports, opt);
