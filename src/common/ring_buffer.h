@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -19,25 +18,17 @@ class RingBuffer {
     SDS_CHECK(capacity > 0, "RingBuffer capacity must be positive");
   }
 
-  // Appends a value, evicting the oldest when full (counted in evictions()).
+  // Appends a value, evicting the oldest when full.
   void Push(const T& value) {
     data_[head_] = value;
     head_ = (head_ + 1) % capacity_;
-    if (size_ < capacity_) {
-      ++size_;
-    } else {
-      ++evictions_;
-    }
+    if (size_ < capacity_) ++size_;
   }
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   bool full() const { return size_ == capacity_; }
   bool empty() const { return size_ == 0; }
-  // Lifetime count of elements overwritten by Push on a full ring. Survives
-  // Clear() — it accounts for the ring's whole history, not one window — so
-  // saturation stays visible after the retained window is flushed.
-  std::uint64_t evictions() const { return evictions_; }
 
   // Index 0 is the OLDEST retained element; size()-1 is the newest.
   const T& operator[](std::size_t i) const {
@@ -72,7 +63,6 @@ class RingBuffer {
   std::size_t capacity_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace sds

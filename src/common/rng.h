@@ -11,6 +11,8 @@
 #include <cmath>
 #include <vector>
 
+#include "common/check.h"
+
 namespace sds {
 
 // xoshiro256++ by Blackman & Vigna (public domain reference implementation
@@ -24,17 +26,47 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  result_type operator()();
+  // The draws every simulated memory op makes (next word, uniform integer,
+  // uniform double, Bernoulli) are inline so an op costs no call into
+  // rng.cpp.
+  result_type operator()() {
+    const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound) using Lemire's rejection-free-in-practice
   // multiply-shift reduction. bound must be > 0.
-  std::uint64_t UniformInt(std::uint64_t bound);
+  std::uint64_t UniformInt(std::uint64_t bound) {
+    SDS_CHECK(bound > 0, "UniformInt bound must be positive");
+    // Lemire multiply-shift with rejection of the biased region.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
 
-  // Uniform double in [0, 1).
-  double UniformDouble();
+  // Uniform double in [0, 1): 53 random bits.
+  double UniformDouble() {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
@@ -48,7 +80,7 @@ class Rng {
   std::int64_t Poisson(double lambda);
 
   // Bernoulli trial with success probability p.
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return UniformDouble() < p; }
 
   // Exponential with rate lambda (> 0).
   double Exponential(double lambda);
@@ -58,6 +90,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -11,14 +11,15 @@ LastLevelCache::LastLevelCache(const CacheConfig& config) : config_(config) {
   set_mask_ = config.sets - 1;
   tags_.resize(total_lines());
   owners_.resize(total_lines());
-  fill_.resize(config.sets);
+  sets_.resize(config.sets);
 }
 
 bool LastLevelCache::Contains(LineAddr addr) const {
   const std::uint32_t set = SetIndexOf(addr);
   const LineAddr* tags = &tags_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < fill_[set]; ++w) {
-    if (tags[w] == addr) return true;
+  const SetState& st = sets_[set];
+  for (std::uint32_t rank = 0; rank < st.fill; ++rank) {
+    if (tags[SlotOf(st.head, rank)] == addr) return true;
   }
   return false;
 }
@@ -36,15 +37,16 @@ std::uint32_t LastLevelCache::OwnerLinesInSet(std::uint32_t set,
   SDS_CHECK(set < config_.sets, "set index out of range");
   const std::uint8_t* owners =
       &owners_[static_cast<std::size_t>(set) * config_.ways];
+  const SetState& st = sets_[set];
   std::uint32_t count = 0;
-  for (std::uint32_t w = 0; w < fill_[set]; ++w) {
-    if (owners[w] == owner) ++count;
+  for (std::uint32_t rank = 0; rank < st.fill; ++rank) {
+    if (owners[SlotOf(st.head, rank)] == owner) ++count;
   }
   return count;
 }
 
 void LastLevelCache::Flush() {
-  fill_.assign(fill_.size(), 0);
+  sets_.assign(sets_.size(), SetState{});
 }
 
 }  // namespace sds::sim

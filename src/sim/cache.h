@@ -6,25 +6,28 @@
 // evictions rather than being injected. The default configuration scales the
 // paper's 35 MB / 20-way Xeon LLC down to 2 MiB / 16-way; shapes are
 // scale-free. On a shared 4-vCPU Intel Xeon VM (RelWithDebInfo, g++ 12.2)
-// the perfbench scenarios run at about 10k (cleansing_kstest) and 26k
-// (buslock_sds) ticks per second, i.e. 600 virtual seconds in 2-6 s of host
+// the perfbench scenarios run at about 14k (cleansing_kstest) and 32k
+// (buslock_sds) ticks per second, i.e. 600 virtual seconds in 2-4 s of host
 // time.
 //
-// Representation: each set keeps its lines in recency order, most recent
-// first, in two parallel arrays (tags_ and owners_, sets x ways each) plus a
-// per-set fill count. A hit at position p shifts slots [0, p) down by one and
-// puts the line at slot 0; a miss fills the next free slot (or, on a full
-// set, replaces the last slot — the least recently used line) and moves it to
-// the front. Move-to-front keeps exactly the order of last touch that global
-// LRU stamps would give, and which physical way holds a line is never
-// observable, so this is exact LRU.
+// Representation: each set is a recency ring over two parallel arrays
+// (tags_ and owners_, sets x ways each) plus a per-set head and fill count
+// (sets_). The line of recency rank r (0 = most recent) sits in slot
+// (head + r) mod ways, and the valid lines are ranks [0, fill). A miss moves
+// head back one slot and writes the line there: that slot is a free one, or
+// on a full set the least recently used line, which it replaces. A hit at
+// rank k shifts ranks [0, k) one rank older and puts the line at rank 0; a
+// hit on the LRU line of a full set is the same head step as a miss, with
+// nothing evicted. Move-to-front keeps exactly the order of last touch that
+// global LRU stamps would give, and which physical way holds a line is
+// never observable, so this is exact LRU. A miss costs O(1) whatever the
+// associativity: the cleansing attack misses on ~80% of its accesses.
 //
-// Invariant: the valid lines of a set are slots [0, fill_[set]); the empty
-// ways are always a suffix. Lines are only ever invalidated all at once, by
-// Flush(), so no hole can open inside the valid prefix.
+// Invariant: the empty ways of a set are always ranks [fill, ways). Lines
+// are only ever invalidated all at once, by Flush(), so no hole can open
+// among the valid ranks.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -65,26 +68,44 @@ class LastLevelCache {
     const std::uint32_t ways = config_.ways;
     LineAddr* tags = &tags_[static_cast<std::size_t>(set) * ways];
     std::uint8_t* owners = &owners_[static_cast<std::size_t>(set) * ways];
-    std::uint32_t& fill = fill_[set];
+    SetState& st = sets_[set];
     CacheAccessResult result;
     SDS_DCHECK(owner <= kMaxOwnerTag, "owner id does not fit an owner tag");
 
-    std::uint32_t pos = 0;
-    while (pos < fill && tags[pos] != addr) ++pos;
-    if (pos < fill) {
-      result.hit = true;  // a shared line re-tags to its latest toucher below
-    } else if (fill < ways) {
-      ++fill;
-    } else {
-      pos = ways - 1;
-      result.evicted_valid = true;
-      result.evicted_owner = owners[pos];
-      if (ledger_ != nullptr) ledger_->RecordEviction(owner, owners[pos]);
+    std::uint32_t slot = st.head;
+    std::uint32_t rank = 0;
+    while (rank < st.fill && tags[slot] != addr) {
+      ++rank;
+      if (++slot == ways) slot = 0;
     }
-    std::copy_backward(tags, tags + pos, tags + pos + 1);
-    std::copy_backward(owners, owners + pos, owners + pos + 1);
-    tags[0] = addr;
-    owners[0] = static_cast<std::uint8_t>(owner);
+    result.hit = rank < st.fill;
+    if (!result.hit || rank == ways - 1) {
+      // The line becomes rank 0 by stepping head back onto rank ways - 1:
+      // a free slot, the LRU line a miss replaces, or the hit line itself.
+      st.head = (st.head == 0 ? ways : st.head) - 1;
+      if (!result.hit) {
+        if (st.fill < ways) {
+          ++st.fill;
+        } else {
+          result.evicted_valid = true;
+          result.evicted_owner = owners[st.head];
+          if (ledger_ != nullptr) {
+            ledger_->RecordEviction(owner, result.evicted_owner);
+          }
+        }
+        tags[st.head] = addr;
+      }
+    } else {
+      for (; rank > 0; --rank) {
+        const std::uint32_t older = slot;
+        slot = (slot == 0 ? ways : slot) - 1;
+        tags[older] = tags[slot];
+        owners[older] = owners[slot];
+      }
+      tags[st.head] = addr;
+    }
+    // A shared line re-tags to its latest toucher.
+    owners[st.head] = static_cast<std::uint8_t>(owner);
     return result;
   }
 
@@ -120,12 +141,23 @@ class LastLevelCache {
  private:
   CacheConfig config_;
   std::uint32_t set_mask_;
-  // sets * ways each, row-major by set; slot 0 of a set is its most recently
-  // used line (see the representation note above). Owners are one byte each
-  // (see kMaxOwnerTag): at 2048 x 16 that is 32 KiB instead of 128 KiB.
+  // One set's recency ring (see the representation note above).
+  struct SetState {
+    std::uint32_t head = 0;  // slot of the most recently used line
+    std::uint32_t fill = 0;  // valid lines
+  };
+
+  // Slot of the line with recency rank `rank` in a set headed at `head`.
+  std::uint32_t SlotOf(std::uint32_t head, std::uint32_t rank) const {
+    const std::uint32_t slot = head + rank;
+    return slot < config_.ways ? slot : slot - config_.ways;
+  }
+
+  // sets * ways each, row-major by set. Owners are one byte each (see
+  // kMaxOwnerTag): at 2048 x 16 that is 32 KiB instead of 128 KiB.
   std::vector<LineAddr> tags_;
   std::vector<std::uint8_t> owners_;
-  std::vector<std::uint32_t> fill_;      // valid lines per set
+  std::vector<SetState> sets_;
   AttributionLedger* ledger_ = nullptr;  // not owned; see AttachLedger
 };
 

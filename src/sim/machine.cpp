@@ -22,6 +22,8 @@ Machine::Machine(const MachineConfig& config)
   }
   if (tel::Telemetry* t = config_.telemetry) {
     instrumented_ = true;
+    synced_owner_atomics_.assign(config_.max_owners, 0);
+    tick_cross_evictions_.assign(config_.max_owners, 0);
     tel::MetricsRegistry& m = t->metrics();
     t_ticks_ = m.GetCounter("sim.machine.ticks");
     t_hits_ = m.GetCounter("sim.cache.hits");
@@ -47,11 +49,33 @@ void Machine::SyncTelemetry() {
   std::uint64_t misses = 0;
   std::uint64_t atomic_ops = 0;
   std::uint64_t stalls = 0;
-  for (const OwnerCounters& c : counters_) {
+  tel::EventTracer& tracer = config_.telemetry->tracer();
+  const bool trace_locks = tracer.enabled(tel::Layer::kSimBus);
+  const bool trace_evictions = tracer.enabled(tel::Layer::kSimCache);
+  for (OwnerId owner = 0; owner < counters_.size(); ++owner) {
+    const OwnerCounters& c = counters_[owner];
     accesses += c.llc_accesses;
     misses += c.llc_misses;
     atomic_ops += c.atomic_ops;
     stalls += c.bus_stalls;
+    const std::uint64_t locks = c.atomic_ops - synced_owner_atomics_[owner];
+    if (locks > 0) {
+      synced_owner_atomics_[owner] = c.atomic_ops;
+      if (trace_locks) {
+        tracer.Emit(tel::MakeEvent(now_, tel::Layer::kSimBus,
+                                   "lock_window_open", owner)
+                        .Num("count", static_cast<double>(locks)));
+      }
+    }
+    std::uint64_t& evictions = tick_cross_evictions_[owner];
+    if (evictions > 0) {
+      if (trace_evictions) {
+        tracer.Emit(tel::MakeEvent(now_, tel::Layer::kSimCache,
+                                   "cross_owner_eviction", owner)
+                        .Num("count", static_cast<double>(evictions)));
+      }
+      evictions = 0;
+    }
   }
   t_hits_->Add((accesses - misses) - (synced_accesses_ - synced_misses_));
   t_misses_->Add(misses - synced_misses_);
@@ -65,15 +89,17 @@ void Machine::SyncTelemetry() {
 }
 
 void Machine::BeginTick() {
+  // Close the ending tick (a no-op pass after EndTick) while now_ still
+  // names it, so the coalesced per-op events carry the tick their ops ran in.
+  if (instrumented_) [[unlikely]] {
+    t_ticks_->Add();
+    SyncTelemetry();
+  }
   bus_.BeginTick();
   dram_.BeginTick();
   if (ledger_) ledger_->RecordTickStart();
   saturation_traced_ = false;
   ++now_;
-  if (instrumented_) [[unlikely]] {
-    t_ticks_->Add();
-    SyncTelemetry();
-  }
 }
 
 void Machine::InstrumentStall(OwnerId owner) {
@@ -88,27 +114,12 @@ void Machine::InstrumentStall(OwnerId owner) {
   }
 }
 
-void Machine::InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
+void Machine::InstrumentMiss(OwnerId owner, bool evicted_valid,
                              OwnerId evicted_owner, double latency) {
   t_dram_latency_->Observe(latency);
   if (evicted_valid && evicted_owner != owner) {
     t_cross_evictions_->Add();
-    tel::Telemetry* t = config_.telemetry;
-    if (t->tracer().enabled(tel::Layer::kSimCache)) {
-      t->tracer().Emit(tel::MakeEvent(now_, tel::Layer::kSimCache,
-                                      "cross_owner_eviction", owner)
-                           .Num("victim", evicted_owner)
-                           .Num("set", cache_.SetIndexOf(addr)));
-    }
-  }
-}
-
-void Machine::InstrumentAtomic(OwnerId owner) {
-  tel::Telemetry* t = config_.telemetry;
-  if (t->tracer().enabled(tel::Layer::kSimBus)) {
-    t->tracer().Emit(tel::MakeEvent(now_, tel::Layer::kSimBus,
-                                    "lock_window_open", owner)
-                         .Num("slots", config_.bus.atomic_lock_slots));
+    ++tick_cross_evictions_[owner];  // traced by SyncTelemetry
   }
 }
 

@@ -69,8 +69,15 @@ class Machine {
   explicit Machine(const MachineConfig& config);
   ~Machine();
 
-  // Advances the machine to the next tick, refilling the bus budget.
+  // Advances the machine to the next tick, refilling the bus budget. Closes
+  // the previous tick first if its driver left it open.
   void BeginTick();
+  // Closes the current tick: with telemetry attached, folds its activity
+  // into the registry and traces its per-op events, so a stream written
+  // right after the tick already holds them. Idempotent within a tick.
+  void EndTick() {
+    if (instrumented_) [[unlikely]] SyncTelemetry();
+  }
   Tick now() const { return now_; }
 
   // A normal (non-atomic) memory load by `owner`.
@@ -93,7 +100,6 @@ class Machine {
       return AccessOutcome::kStalled;
     }
     ++counters_[owner].atomic_ops;
-    if (instrumented_) [[unlikely]] InstrumentAtomic(owner);
     return FinishAccess(owner, addr);
   }
 
@@ -134,7 +140,7 @@ class Machine {
     const double latency = dram_.Read();
     ctr.dram_latency_ns += latency;
     if (instrumented_) [[unlikely]] {
-      InstrumentMiss(owner, addr, r.evicted_valid, r.evicted_owner, latency);
+      InstrumentMiss(owner, r.evicted_valid, r.evicted_owner, latency);
     }
     return AccessOutcome::kMiss;
   }
@@ -150,10 +156,13 @@ class Machine {
   // SyncTelemetry folds the per-owner counter deltas into the registry once
   // per tick, so the uninstrumented per-access cost is zero and the
   // instrumented cost is one saturating pass over the counter file per tick.
+  // The same fold traces the ending tick's per-op activity as one event per
+  // (tick, owner) carrying a count: lock_window_open for the owner's bus
+  // lock windows, cross_owner_eviction for the other owners' lines its
+  // misses evicted.
   void SyncTelemetry();
-  void InstrumentMiss(OwnerId owner, LineAddr addr, bool evicted_valid,
-                      OwnerId evicted_owner, double latency);
-  void InstrumentAtomic(OwnerId owner);
+  void InstrumentMiss(OwnerId owner, bool evicted_valid, OwnerId evicted_owner,
+                      double latency);
   void InstrumentStall(OwnerId owner);
 
   MachineConfig config_;
@@ -187,6 +196,10 @@ class Machine {
   std::uint64_t synced_misses_ = 0;
   std::uint64_t synced_atomic_ops_ = 0;
   std::uint64_t synced_stalls_ = 0;
+  // Per-owner atomic ops already traced as lock windows by SyncTelemetry.
+  std::vector<std::uint64_t> synced_owner_atomics_;
+  // Per-owner cross-owner evictions of the current tick, not yet traced.
+  std::vector<std::uint64_t> tick_cross_evictions_;
 };
 
 }  // namespace sds::sim

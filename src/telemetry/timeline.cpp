@@ -11,6 +11,10 @@ namespace sds::telemetry {
 
 namespace {
 
+// Events that witness contention at their tick. lock_window_open and
+// cross_owner_eviction each stand for all of one owner's lock windows or
+// evictions in one tick (their "count" field), so the ring keeps the
+// attack's first ticks next to the alarm instead of one event per op.
 bool IsContentionEvent(const char* name) {
   if (name == nullptr) return false;
   return std::strcmp(name, "bus_saturated") == 0 ||

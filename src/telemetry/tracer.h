@@ -8,7 +8,11 @@
 // serializes the retained window as JSONL:
 //
 //   {"type":"event","tick":1234,"layer":"sim.bus","event":"lock_window_open",
-//    "owner":3,"slots":40}
+//    "owner":3,"count":176}
+//
+// Per-op activity (bus lock windows, cross-owner evictions) is traced as one
+// event per (tick, owner) carrying a count, never one event per op, so an
+// attack cannot flood the ring with the symptoms it causes.
 //
 // Each layer has an enable bit; a disabled layer's instrumentation reduces
 // to one inline mask test, which is what keeps always-compiled tracing
@@ -101,12 +105,6 @@ class EventTracer {
   std::size_t capacity() const { return ring_.capacity(); }
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t dropped() const { return dropped_; }
-  // Drop accounting by the layer of the EVICTED event: which layer's history
-  // the ring overwrote, not which layer's emission forced the eviction. This
-  // is what tells you whose events you lost when the ring saturated.
-  std::uint64_t dropped_by_layer(Layer layer) const {
-    return dropped_by_layer_[static_cast<std::size_t>(layer)];
-  }
   // Per-layer emission counts (denominator for drop ratios).
   std::uint64_t emitted_by_layer(Layer layer) const {
     return emitted_by_layer_[static_cast<std::size_t>(layer)];
@@ -131,6 +129,8 @@ class EventTracer {
   std::uint64_t emitted_ = 0;
   std::uint64_t dropped_ = 0;
   std::array<std::uint64_t, kLayerCount> emitted_by_layer_{};
+  // Drops by the layer of the EVICTED event: whose history the ring
+  // overwrote, not whose emission forced it (reported by WriteStatsJson).
   std::array<std::uint64_t, kLayerCount> dropped_by_layer_{};
 };
 

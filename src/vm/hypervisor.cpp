@@ -127,14 +127,17 @@ void Hypervisor::RunTick() {
   std::uint64_t ops_this_tick = 0;
   std::uint64_t dropped_this_tick = 0;
 
-  // Round-robin service in chunks, starting from a rotating offset.
-  const std::size_t start =
-      static_cast<std::size_t>(machine_.now()) % slots_.size();
-  std::size_t remaining = slots_.size();
+  // Round-robin service in chunks, starting from a rotating offset. The slot
+  // index is stepped and wrapped by compare: no division per chunk.
+  const std::size_t n = slots_.size();
+  const std::size_t start = static_cast<std::size_t>(machine_.now()) % n;
+  std::size_t remaining = n;
   while (remaining > 0) {
     remaining = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& slot = slots_[(start + i) % slots_.size()];
+    std::size_t i = start;
+    for (std::size_t k = 0; k < n; ++k) {
+      Slot& slot = slots_[i];
+      if (++i == n) i = 0;
       if (slot.exhausted) continue;
       Workload& w = slot.vm->workload();
       const OwnerId owner = slot.vm->id();
@@ -170,6 +173,7 @@ void Hypervisor::RunTick() {
     t_scheduled_ops_->Add(ops_this_tick);
     t_monitor_dropped_->Add(dropped_this_tick);
   }
+  machine_.EndTick();
 }
 
 }  // namespace sds::vm

@@ -35,8 +35,8 @@ class Workload {
   virtual bool NextOp(sim::MemOp& op) = 0;
 
   // Reports the outcome of the most recently produced op. kStalled means the
-  // op did NOT execute (bus exhausted); the workload must not count it as
-  // progress.
+  // op did NOT execute (bus exhausted, or deferred by the monitoring load);
+  // the workload must not count it as progress.
   virtual void OnOutcome(const sim::MemOp& op, sim::AccessOutcome outcome) = 0;
 
   // Total work units completed since Bind (used by fixed-work overhead

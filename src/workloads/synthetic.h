@@ -108,7 +108,10 @@ class SyntheticWorkload final : public vm::Workload {
   // Per-phase hot-region offsets (disjoint so phase changes shift locality).
   std::vector<LineAddr> hot_offsets_;
   LineAddr stream_offset_ = 0;
+  // Streaming ops issued so far, and that count modulo the current phase's
+  // stream_lines (kept in step so the op path does no division).
   std::uint64_t stream_cursor_ = 0;
+  std::uint64_t stream_pos_ = 0;
   std::vector<std::unique_ptr<ZipfSampler>> zipf_;
 
   std::size_t phase_index_ = 0;

@@ -58,9 +58,31 @@ struct GoldenSummary {
   std::uint64_t victim_id = 0;
   std::uint64_t audit_records = 0;
   std::uint64_t audit_hash = 0;
+  // Trace events emitted. Bus lock windows and cross-owner evictions are
+  // traced as one event per (tick, owner) with a count, so `emitted` moved
+  // when they were coalesced; `per_op_events` is the count the constants
+  // were captured at, one event per atomic and per eviction.
   std::uint64_t emitted = 0;
+  std::uint64_t per_op_events = 0;
   std::uint64_t accesses = 0;
 };
+
+// The trace events of a run at one event per bus lock window and per
+// cross-owner eviction: `emitted` with each coalesced event replaced by the
+// atomics or evictions it counts. The coalesced events are the sim.bus
+// events other than bus_saturated (one per saturated tick) and every
+// sim.cache event.
+std::uint64_t PerOpEventCount(telemetry::Telemetry& t) {
+  const telemetry::EventTracer& tracer = t.tracer();
+  telemetry::MetricsRegistry& m = t.metrics();
+  const std::uint64_t coalesced =
+      tracer.emitted_by_layer(telemetry::Layer::kSimBus) -
+      m.GetCounter("sim.bus.saturated_ticks")->value() +
+      tracer.emitted_by_layer(telemetry::Layer::kSimCache);
+  return tracer.emitted() - coalesced +
+         m.GetCounter("sim.bus.atomic_locks")->value() +
+         m.GetCounter("sim.cache.cross_owner_evictions")->value();
+}
 
 GoldenSummary RunGolden(cluster::MitigationPolicy policy, bool attribute,
                         std::uint64_t seed) {
@@ -144,6 +166,7 @@ GoldenSummary RunGolden(cluster::MitigationPolicy policy, bool attribute,
   }
   g.audit_hash = h.hash();
   g.emitted = telemetry.tracer().emitted();
+  g.per_op_events = PerOpEventCount(telemetry);
   g.accesses = cl.counters(engine.victim()).llc_accesses;
   return g;
 }
@@ -158,7 +181,8 @@ TEST(ActuationGoldenTest, MigrateVictimSeed42) {
   EXPECT_EQ(g.victim_id, 1u);
   EXPECT_EQ(g.audit_records, 177u);
   EXPECT_EQ(g.audit_hash, 18261495189989815477ull);
-  EXPECT_EQ(g.emitted, 1115516u);
+  EXPECT_EQ(g.emitted, 30319u);
+  EXPECT_EQ(g.per_op_events, 1115516u);
   EXPECT_EQ(g.accesses, 982730u);
 }
 
@@ -171,7 +195,8 @@ TEST(ActuationGoldenTest, QuarantineAttributedSeed42) {
   EXPECT_EQ(g.victim_host, 0);
   EXPECT_EQ(g.victim_id, 1u);
   EXPECT_EQ(g.audit_hash, 16051581706462009017ull);
-  EXPECT_EQ(g.emitted, 533992u);
+  EXPECT_EQ(g.emitted, 27097u);
+  EXPECT_EQ(g.per_op_events, 533992u);
   EXPECT_EQ(g.accesses, 2873980u);
 }
 
@@ -185,7 +210,8 @@ TEST(ActuationGoldenTest, QuarantineUnattributedFallsBackSeed42) {
   EXPECT_EQ(g.applied, cluster::MitigationPolicy::kMigrateVictim);
   EXPECT_EQ(g.victim_host, 1);
   EXPECT_EQ(g.audit_hash, 16582245344652577492ull);
-  EXPECT_EQ(g.emitted, 1115516u);
+  EXPECT_EQ(g.emitted, 30319u);
+  EXPECT_EQ(g.per_op_events, 1115516u);
   EXPECT_EQ(g.accesses, 982730u);
 }
 

@@ -140,7 +140,19 @@ TEST(HostChaosTransparencyTest, NullPlanLifecycleIsBitTransparent) {
     h.U64(rec.alarm ? 1 : 0);
   }
   EXPECT_EQ(h.hash(), 18261495189989815477ull);
-  EXPECT_EQ(telemetry.tracer().emitted(), 1115516u);
+  // Per-op events are coalesced per (tick, owner); see PerOpEventCount in
+  // actuation_golden_test.cpp for the identity that recovers the captured
+  // one-event-per-op count.
+  EXPECT_EQ(telemetry.tracer().emitted(), 30319u);
+  const telemetry::EventTracer& tracer = telemetry.tracer();
+  telemetry::MetricsRegistry& m = telemetry.metrics();
+  EXPECT_EQ(tracer.emitted() -
+                tracer.emitted_by_layer(telemetry::Layer::kSimBus) +
+                m.GetCounter("sim.bus.saturated_ticks")->value() -
+                tracer.emitted_by_layer(telemetry::Layer::kSimCache) +
+                m.GetCounter("sim.bus.atomic_locks")->value() +
+                m.GetCounter("sim.cache.cross_owner_evictions")->value(),
+            1115516u);
   EXPECT_EQ(cl.counters(engine.victim()).llc_accesses, 982730u);
 
   // And the chaos plane itself never moved.

@@ -1,5 +1,7 @@
 #include "sim/cache.h"
 
+#include <algorithm>
+#include <deque>
 #include <tuple>
 #include <vector>
 
@@ -242,6 +244,91 @@ TEST(CacheTest, OwnerTagHoldsTheLargestOwnerId) {
   EXPECT_EQ(cache.OwnerLinesInSet(0, 1), 1u);
   EXPECT_EQ(cache.CountOwnerLines(kTop), 2u);
 }
+
+// Each set is a recency ring with a moving head (see cache.h). More than
+// `ways` misses in one set carry the head around the ring more than once;
+// residency, per-owner occupancy, the replacement order (including after
+// hits at every rank) and the state after Flush must still follow LRU.
+class CacheRingWrapTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CacheRingWrapTest, HeadWrapKeepsLruOrder) {
+  const auto ways = static_cast<std::uint32_t>(GetParam());
+  constexpr std::uint32_t kSets = 4;
+  LastLevelCache cache(SmallCache(kSets, ways));
+  // Lines of set 1 only; line i belongs to owner 1 + i % 3.
+  const auto line = [](std::uint32_t i) {
+    return static_cast<LineAddr>(i) * kSets + 1;
+  };
+  const auto owner_of = [](std::uint32_t i) {
+    return static_cast<OwnerId>(1 + i % 3);
+  };
+  std::deque<std::uint32_t> lru;  // line indices, most recent first
+  const auto expect_set = [&] {
+    for (std::uint32_t i = 0; i < 4 * ways; ++i) {
+      const bool resident = std::find(lru.begin(), lru.end(), i) != lru.end();
+      EXPECT_EQ(cache.Contains(line(i)), resident) << "line " << i;
+    }
+    for (OwnerId o = 1; o <= 3; ++o) {
+      const auto n = static_cast<std::uint32_t>(std::count_if(
+          lru.begin(), lru.end(),
+          [&](std::uint32_t i) { return owner_of(i) == o; }));
+      EXPECT_EQ(cache.OwnerLinesInSet(1, o), n) << "owner " << o;
+    }
+    EXPECT_EQ(cache.OwnerLinesInSet(0, 1), 0u);
+  };
+  // Touches line i: a hit moves it to the front; a miss evicts the back of
+  // a full set.
+  const auto touch = [&](std::uint32_t i) {
+    const auto it = std::find(lru.begin(), lru.end(), i);
+    const bool hit = it != lru.end();
+    const CacheAccessResult r = cache.Access(owner_of(i), line(i));
+    EXPECT_EQ(r.hit, hit) << "line " << i;
+    if (hit) {
+      lru.erase(it);
+      EXPECT_FALSE(r.evicted_valid);
+    } else if (lru.size() == ways) {
+      EXPECT_TRUE(r.evicted_valid) << "line " << i;
+      EXPECT_EQ(r.evicted_owner, owner_of(lru.back())) << "line " << i;
+      lru.pop_back();
+    } else {
+      EXPECT_FALSE(r.evicted_valid) << "line " << i;
+    }
+    lru.push_front(i);
+  };
+
+  // 2.5 rings' worth of misses: the head wraps twice.
+  for (std::uint32_t i = 0; i < ways * 5 / 2; ++i) touch(i);
+  expect_set();
+  // Hits at every rank, from the LRU line to the MRU line, each followed by
+  // a miss, so the ring keeps turning between hits.
+  for (std::uint32_t rank = ways; rank-- > 0;) {
+    touch(lru[rank]);
+    touch(ways * 5 / 2 + rank);
+    expect_set();
+  }
+  // The next `ways` misses evict exactly the current LRU order.
+  const std::deque<std::uint32_t> order = lru;
+  for (std::uint32_t k = 0; k < ways; ++k) {
+    const CacheAccessResult r =
+        cache.Access(9, line(4 * ways + k));
+    ASSERT_TRUE(r.evicted_valid);
+    EXPECT_EQ(r.evicted_owner, owner_of(order[ways - 1 - k])) << "miss " << k;
+    EXPECT_FALSE(cache.Contains(line(order[ways - 1 - k])));
+  }
+  EXPECT_EQ(cache.OwnerLinesInSet(1, 9), ways);
+
+  // Flush empties the ring wherever its head stopped: the next `ways`
+  // misses fill free slots, and the one after evicts the first of them.
+  cache.Flush();
+  lru.clear();
+  expect_set();
+  EXPECT_EQ(cache.OwnerLinesInSet(1, 9), 0u);
+  for (std::uint32_t i = 0; i < ways + 1; ++i) touch(i);
+  EXPECT_FALSE(cache.Contains(line(0)));
+  expect_set();
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheRingWrapTest, ::testing::Values(16, 20));
 
 // The stamp-based LRU model the recency-ordered cache replaced: every line
 // carries a global LRU stamp; a miss fills the first invalid way, else

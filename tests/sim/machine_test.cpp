@@ -1,6 +1,12 @@
 #include "sim/machine.h"
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "telemetry/telemetry.h"
 
 namespace sds::sim {
 namespace {
@@ -125,6 +131,74 @@ TEST(MachineTest, CrossOwnerEvictionRaisesVictimMisses) {
   }
   EXPECT_EQ(m.Access(1, 0), AccessOutcome::kMiss);
   EXPECT_EQ(m.counters(1).llc_misses, 2u);
+}
+
+// The retained lock_window_open / cross_owner_eviction events, one line
+// each: "<event> tick=<t> owner=<o> count=<n>".
+std::vector<std::string> PerOpEvents(const telemetry::EventTracer& tracer) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < tracer.retained(); ++i) {
+    const telemetry::TraceEvent& e = tracer.event(i);
+    if (std::strcmp(e.name, "lock_window_open") != 0 &&
+        std::strcmp(e.name, "cross_owner_eviction") != 0) {
+      continue;
+    }
+    std::string line = std::string(e.name) + " tick=" +
+                       std::to_string(e.tick) +
+                       " owner=" + std::to_string(e.owner);
+    for (const auto& f : e.nums) {
+      if (f.key != nullptr) {
+        line += " " + std::string(f.key) + "=" +
+                std::to_string(static_cast<std::uint64_t>(f.value));
+      }
+    }
+    out.push_back(line);
+  }
+  return out;
+}
+
+TEST(MachineTest, TracesPerOpActivityOncePerOwnerPerTick) {
+  telemetry::Telemetry telemetry;
+  MachineConfig cfg = SmallMachine();
+  cfg.bus.slots_per_tick = 100000;
+  cfg.telemetry = &telemetry;
+  Machine m(cfg);
+  m.BeginTick();
+  const Tick t = m.now();
+  // Owner 1 fills set 0; owner 2 evicts two of its lines and takes three
+  // bus locks (set 1); owner 3 takes five (set 2).
+  for (LineAddr w = 0; w < cfg.cache.ways; ++w) m.Access(1, w * 16);
+  m.Access(2, 100 * 16);
+  m.Access(2, 101 * 16);
+  for (int i = 0; i < 3; ++i) m.AtomicAccess(2, 16 + 1);
+  for (int i = 0; i < 5; ++i) m.AtomicAccess(3, 16 + 2);
+  EXPECT_TRUE(PerOpEvents(telemetry.tracer()).empty());
+
+  m.EndTick();
+  const std::string at = " tick=" + std::to_string(t);
+  const std::vector<std::string> want = {
+      "lock_window_open" + at + " owner=2 count=3",
+      "cross_owner_eviction" + at + " owner=2 count=2",
+      "lock_window_open" + at + " owner=3 count=5",
+  };
+  EXPECT_EQ(PerOpEvents(telemetry.tracer()), want);
+
+  // Closing the tick again, and a tick with no activity, trace nothing.
+  m.EndTick();
+  m.BeginTick();
+  m.EndTick();
+  m.BeginTick();
+  EXPECT_EQ(PerOpEvents(telemetry.tracer()), want);
+
+  // A driver that never calls EndTick: BeginTick closes the tick, which
+  // keeps its own tick number.
+  const Tick later = m.now();
+  m.AtomicAccess(3, 16 + 2);
+  m.BeginTick();
+  const std::vector<std::string> got = PerOpEvents(telemetry.tracer());
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got.back(), "lock_window_open tick=" + std::to_string(later) +
+                            " owner=3 count=1");
 }
 
 TEST(MachineTest, AcceptsUpToTwoHundredFiftySixOwners) {

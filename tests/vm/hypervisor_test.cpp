@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/telemetry.h"
 #include "vm/vm.h"
 
 namespace sds::vm {
@@ -214,6 +215,30 @@ TEST(HypervisorTest, WorkloadSeesEveryRunnableTick) {
   rig.hypervisor->CreateVm("a", std::move(workload));
   for (int t = 0; t < 7; ++t) rig.hypervisor->RunTick();
   EXPECT_EQ(raw->ticks_seen(), 7u);
+}
+
+TEST(HypervisorTest, TickEventsExistWhenRunTickReturns) {
+  // A stream written right after a tick must hold that tick's coalesced
+  // per-op events, not wait for the next tick to trace them.
+  telemetry::Telemetry telemetry;
+  sim::MachineConfig config;
+  config.cache.sets = 64;
+  config.cache.ways = 4;
+  config.bus.slots_per_tick = 100000;
+  config.telemetry = &telemetry;
+  sim::Machine machine(config);
+  Hypervisor hv(machine, HypervisorConfig{}, Rng(5));
+  const OwnerId id = hv.CreateVm(
+      "locker", std::make_unique<FixedRateWorkload>(7, 1024, /*atomic=*/true));
+  hv.RunTick();
+  const telemetry::EventTracer& tracer = telemetry.tracer();
+  ASSERT_EQ(tracer.emitted_by_layer(telemetry::Layer::kSimBus), 1u);
+  const telemetry::TraceEvent& e = tracer.event(tracer.retained() - 1);
+  EXPECT_STREQ(e.name, "lock_window_open");
+  EXPECT_EQ(e.tick, machine.now());
+  EXPECT_EQ(e.owner, static_cast<std::int64_t>(id));
+  EXPECT_STREQ(e.nums[0].key, "count");
+  EXPECT_EQ(e.nums[0].value, 7.0);
 }
 
 }  // namespace
