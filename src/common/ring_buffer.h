@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -51,6 +53,15 @@ class RingBuffer {
     out.reserve(size_);
     for (std::size_t i = 0; i < size_; ++i) out.push_back((*this)[i]);
     return out;
+  }
+
+  // The retained elements as two contiguous runs, oldest first: the second
+  // run is empty unless the elements wrap past the end of the storage.
+  std::pair<std::span<const T>, std::span<const T>> Runs() const {
+    const std::size_t start = (head_ + capacity_ - size_) % capacity_;
+    const std::span<const T> all(data_);
+    if (start + size_ <= capacity_) return {all.subspan(start, size_), {}};
+    return {all.subspan(start), all.first(start + size_ - capacity_)};
   }
 
   void Clear() {

@@ -385,7 +385,7 @@ std::uint64_t KsTestDetector::ConfigFingerprint() const {
   w.Bool(ident_.enabled);
   w.I64(ident_.settle);
   w.I64(ident_.window);
-  return Fnv1a(w.data());
+  return Checksum64(w.data());
 }
 
 void KsTestDetector::SaveState(SnapshotWriter& w) const {

@@ -74,7 +74,8 @@ void PeriodAnalyzer::SaveState(SnapshotWriter& w) const {
   w.F64(profile_.period);
   w.F64(profile_.strength);
   w.U64(window_size_);
-  w.VecF64(ma_values_.ToVector());
+  const auto [older, newer] = ma_values_.Runs();
+  w.VecF64(older, newer);
   ma_.SaveState(w);
   w.U64(ma_since_check_);
   w.U64(ma_count_);

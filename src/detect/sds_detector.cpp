@@ -214,7 +214,7 @@ std::uint64_t SdsDetector::ConfigFingerprint() const {
   w.U64(params_.delta_wp);
   w.I64(params_.h_p);
   w.F64(params_.period_tolerance);
-  return Fnv1a(w.data());
+  return Checksum64(w.data());
 }
 
 void SdsDetector::SaveState(SnapshotWriter& w) const {

@@ -61,14 +61,14 @@ const char* SnapshotStatusName(SnapshotStatus status) {
 std::string SealSnapshot(std::string_view kind,
                          std::uint64_t config_fingerprint,
                          std::string_view payload) {
-  std::string blob(kMagic);
-  SnapshotWriter header;
+  SnapshotWriter header(std::string{kMagic});
   header.U32(kSnapshotVersion);
   header.Str(kind);
   header.U64(config_fingerprint);
-  header.U64(Fnv1a(payload));
+  header.U64(Checksum64(payload));
   header.U64(payload.size());
-  blob += header.data();
+  std::string blob = header.TakeData();
+  blob.reserve(blob.size() + payload.size());
   blob += payload;
   return blob;
 }
@@ -103,7 +103,7 @@ SnapshotStatus OpenSnapshot(std::string_view blob, std::string_view kind,
   if (length == 0 || length != body.size()) {
     return SnapshotStatus::kBadLength;
   }
-  if (Fnv1a(body) != checksum) return SnapshotStatus::kBadChecksum;
+  if (Checksum64(body) != checksum) return SnapshotStatus::kBadChecksum;
   *payload = std::string(body);
   return SnapshotStatus::kOk;
 }

@@ -4,7 +4,8 @@
 // A sealed snapshot is:
 //
 //   magic "SDSSNAP\0" | u32 kSnapshotVersion | kind string | u64 config
-//   fingerprint | u64 FNV-1a payload checksum | u64 payload length | payload
+//   fingerprint | u64 Checksum64 (XXH64) of the payload | u64 payload length
+//   | payload
 //
 // OpenSnapshot verifies each layer in order and reports WHICH failed, so a
 // monitoring service restart can distinguish "snapshot from an old release"
@@ -32,9 +33,10 @@
 
 namespace sds::obs {
 
-// Bump when the envelope or any SaveState field layout changes; OpenSnapshot
-// rejects every other version (no migration — a stale snapshot re-warms).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+// Bump when the envelope, the checksum or any SaveState field layout changes;
+// OpenSnapshot rejects every other version (no migration — a stale snapshot
+// re-warms). Version 2 replaced the FNV-1a checksum of version 1 with XXH64.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 enum class SnapshotStatus : std::uint8_t {
   kOk,

@@ -44,7 +44,8 @@ void SlidingWindowAverage::Reset() {
 void SlidingWindowAverage::SaveState(SnapshotWriter& w) const {
   w.U64(window_);
   w.U64(step_);
-  w.VecF64(buf_.ToVector());
+  const auto [older, newer] = buf_.Runs();
+  w.VecF64(older, newer);
   w.F64(window_sum_);
   w.U64(since_last_emit_);
   w.Bool(first_window_done_);

@@ -73,7 +73,9 @@ struct AdmissionConfig {
 // Judges one PARSED sample down rungs 2..6. Pure: mutates nothing; the
 // caller logs the verdict to the WAL and then applies it. `entry` may be
 // null (tenant not yet tabled); `queue_has_tenant` reports whether the
-// ingest queue already holds an entry this sample could coalesce into.
+// ingest queue already holds an entry this sample could coalesce into. It
+// is read only when `queue_depth >= config.coalesce_depth`, so a caller may
+// skip the queue scan below that depth.
 Disposition JudgeSample(const SvcSample& sample, const AdmissionConfig& config,
                         Tick current_tick, const TenantEntry* entry,
                         std::size_t queue_depth, bool queue_has_tenant);

@@ -46,11 +46,12 @@ std::uint64_t SvcConfig::Fingerprint() const {
   w.U64(max_tenants);
   w.U32(drain_per_tick);
   w.I64(checkpoint_every_ticks);
-  return Fnv1a(w.data());
+  return Checksum64(w.data());
 }
 
 DetectionService::DetectionService(const SvcConfig& config, StableStore* store)
     : config_(config),
+      fingerprint_(config.Fingerprint()),
       store_(store),
       table_(config.pipeline, config.max_tenants) {
   SDS_CHECK(store_ != nullptr, "service needs a stable store");
@@ -60,10 +61,11 @@ bool DetectionService::dead() const { return store_->crashed(); }
 
 bool DetectionService::LogRecord(WalRecord& record) {
   record.lsn = next_lsn_;
-  const std::string frame = WalWriter::EncodeFrame(record);
-  if (!store_->AppendWal(frame)) return false;
+  wal_frame_.clear();
+  WalWriter::AppendFrame(record, &wal_frame_);
+  if (!store_->AppendWal(wal_frame_)) return false;
   ++next_lsn_;
-  wal_pending_bytes_ += frame.size();
+  wal_pending_bytes_ += wal_frame_.size();
   ++inc_.wal_frames_appended;
   return true;
 }
@@ -176,12 +178,14 @@ bool DetectionService::Offer(const SvcSample& sample) {
     return true;
   }
   const TenantEntry* entry = table_.Find(sample.tenant);
+  // Only the coalesce rung reads whether the tenant is already queued, and
+  // only at or past the coalesce depth; below it the scan is skipped.
   bool queue_has_tenant = false;
-  for (const QueueEntry& q : queue_) {
-    if (q.tenant == sample.tenant) {
-      queue_has_tenant = true;
-      break;
-    }
+  if (queue_.size() >= config_.admission.coalesce_depth) {
+    queue_has_tenant =
+        std::any_of(queue_.begin(), queue_.end(), [&](const QueueEntry& q) {
+          return q.tenant == sample.tenant;
+        });
   }
   const Disposition verdict =
       JudgeSample(sample, config_.admission, current_tick_, entry,
@@ -229,7 +233,8 @@ bool DetectionService::AdvanceTick(Tick now) {
 bool DetectionService::Checkpoint() {
   if (dead()) return false;
   if (replaying_) return true;  // never truncate an unreplayed WAL tail
-  SnapshotWriter w;
+  checkpoint_payload_.clear();
+  SnapshotWriter w(std::move(checkpoint_payload_));
   w.I64(current_tick_);
   w.U64(transport_watermark_);
   w.U64(next_lsn_ - 1);  // last LSN the checkpoint covers
@@ -265,7 +270,8 @@ bool DetectionService::Checkpoint() {
     w.U32(a.tenant);
   }
   const std::string blob =
-      obs::SealSnapshot(kCheckpointKind, config_.Fingerprint(), w.data());
+      obs::SealSnapshot(kCheckpointKind, fingerprint_, w.data());
+  checkpoint_payload_ = w.TakeData();
   if (!store_->WriteCheckpoint(blob)) return false;
   ++inc_.checkpoints_written;
   if (!store_->TruncateWal(wal_pending_bytes_)) return false;
@@ -347,7 +353,7 @@ bool DetectionService::Recover() {
   if (!ckpt.empty()) {
     std::string payload;
     const obs::SnapshotStatus status = obs::OpenSnapshot(
-        ckpt, kCheckpointKind, config_.Fingerprint(), &payload);
+        ckpt, kCheckpointKind, fingerprint_, &payload);
     inc_.checkpoint_status = status;
     if (status == obs::SnapshotStatus::kOk) {
       SnapshotReader r(payload);
@@ -387,9 +393,11 @@ bool DetectionService::Recover() {
   }
   replaying_ = false;
   // Everything surviving in the WAL — replayed, skipped, or torn — is
-  // covered by the checkpoint Recover() ends with.
+  // covered by the checkpoint Recover() ends with. That holds for a cold
+  // start over unreadable bytes too: frames logged behind them would be
+  // unreachable to the next scan.
   wal_pending_bytes_ = wal.size();
-  if (recovered) Checkpoint();
+  if (recovered || !wal.empty()) Checkpoint();
   return recovered;
 }
 

@@ -164,7 +164,12 @@ class DetectionService {
   void ResetVolatileState();
 
   SvcConfig config_;
+  std::uint64_t fingerprint_;  // config_.Fingerprint(), computed once
   StableStore* store_;
+  // The frame LogRecord encodes into and the payload Checkpoint encodes
+  // into; reused so neither regrows its buffer on every call.
+  std::string wal_frame_;
+  std::string checkpoint_payload_;
 
   Tick current_tick_ = -1;
   std::uint64_t transport_watermark_ = 0;

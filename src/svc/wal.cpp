@@ -7,40 +7,8 @@ namespace sds::svc {
 
 namespace {
 
-// Frame header: u32 payload_len | u64 fnv1a(payload), little-endian.
+// Frame header: u32 payload_len | u64 Checksum64(payload), little-endian.
 constexpr std::size_t kFrameHeaderBytes = 4 + 8;
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t GetU32(std::string_view bytes, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(std::string_view bytes, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -60,8 +28,11 @@ const char* WalScanStopName(WalScanStop stop) {
   return "?";
 }
 
-std::string WalWriter::EncodeFrame(const WalRecord& record) {
-  SnapshotWriter payload;
+void WalWriter::AppendFrame(const WalRecord& record, std::string* log) {
+  const std::size_t at = log->size();
+  // The header is filled in once the payload behind it is complete.
+  log->append(kFrameHeaderBytes, '\0');
+  SnapshotWriter payload(std::move(*log));
   payload.U32(kWalPayloadVersion);  // det-wal-versioned pin
   payload.U32(static_cast<std::uint32_t>(record.kind));
   payload.U64(record.lsn);
@@ -78,12 +49,16 @@ std::string WalWriter::EncodeFrame(const WalRecord& record) {
       payload.I64(record.tick);
       break;
   }
-  const std::string& body = payload.data();
+  *log = payload.TakeData();
+  const std::string_view body =
+      std::string_view(*log).substr(at + kFrameHeaderBytes);
+  StoreLe(log->data() + at, static_cast<std::uint32_t>(body.size()));
+  StoreLe(log->data() + at + 4, Checksum64(body));
+}
+
+std::string WalWriter::EncodeFrame(const WalRecord& record) {
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutU32(&frame, static_cast<std::uint32_t>(body.size()));
-  PutU64(&frame, Fnv1a(body));
-  frame.append(body);
+  AppendFrame(record, &frame);
   return frame;
 }
 
@@ -95,15 +70,15 @@ WalScanResult WalReader::Scan(std::string_view bytes) {
       result.stop = WalScanStop::kTornFrame;
       break;
     }
-    const std::uint32_t len = GetU32(bytes, pos);
-    const std::uint64_t checksum = GetU64(bytes, pos + 4);
+    const auto len = LoadLe<std::uint32_t>(bytes.data() + pos);
+    const auto checksum = LoadLe<std::uint64_t>(bytes.data() + pos + 4);
     if (bytes.size() - pos - kFrameHeaderBytes < len) {
       result.stop = WalScanStop::kTornFrame;
       break;
     }
     const std::string_view body =
         bytes.substr(pos + kFrameHeaderBytes, len);
-    if (Fnv1a(body) != checksum) {
+    if (Checksum64(body) != checksum) {
       result.stop = WalScanStop::kBadChecksum;
       break;
     }

@@ -11,7 +11,7 @@
 //
 // Frame format, repeated until end-of-log:
 //
-//   u32 payload_len | u64 fnv1a(payload) | payload
+//   u32 payload_len | u64 Checksum64(payload) | payload
 //
 // with all integers little-endian and the payload a common/snapshot.h field
 // stream beginning with U32 kWalPayloadVersion (= obs::kSnapshotVersion) —
@@ -86,6 +86,9 @@ struct WalScanResult {
 // Encodes one record as a framed WAL entry ready for StableStore::AppendWal.
 class WalWriter {
  public:
+  // Appends the frame to `*log`, reusing its capacity.
+  static void AppendFrame(const WalRecord& record, std::string* log);
+  // The frame alone, as a fresh string.
   static std::string EncodeFrame(const WalRecord& record);
 };
 

@@ -81,6 +81,11 @@ TEST_P(RingBufferPropertyTest, KeepsSuffix) {
     EXPECT_EQ(rb[i], pushes - static_cast<int>(expected_size) +
                          static_cast<int>(i));
   }
+  // The two contiguous runs, concatenated, are the same elements in order.
+  const auto [older, newer] = rb.Runs();
+  std::vector<int> joined(older.begin(), older.end());
+  joined.insert(joined.end(), newer.begin(), newer.end());
+  EXPECT_EQ(joined, rb.ToVector());
 }
 
 INSTANTIATE_TEST_SUITE_P(

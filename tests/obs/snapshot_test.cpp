@@ -55,7 +55,7 @@ TEST(SnapshotEnvelopeTest, RejectsOtherVersions) {
   header.U32(kSnapshotVersion + 1);
   header.Str("kind");
   header.U64(0);
-  header.U64(Fnv1a(""));
+  header.U64(Checksum64(""));
   header.U64(0);
   blob += header.data();
   std::string payload;

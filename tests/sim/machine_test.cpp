@@ -148,8 +148,10 @@ std::vector<std::string> PerOpEvents(const telemetry::EventTracer& tracer) {
                        " owner=" + std::to_string(e.owner);
     for (const auto& f : e.nums) {
       if (f.key != nullptr) {
-        line += " " + std::string(f.key) + "=" +
-                std::to_string(static_cast<std::uint64_t>(f.value));
+        line += ' ';
+        line += f.key;
+        line += '=';
+        line += std::to_string(static_cast<std::uint64_t>(f.value));
       }
     }
     out.push_back(line);

@@ -158,6 +158,33 @@ TEST(ServiceTest, MalformedLinesAreAccountedNotFatal) {
   EXPECT_FALSE(service.dead());
 }
 
+TEST(ServiceTest, CoalescesFromExactlyTheCoalesceDepth) {
+  // Offer skips its queue scan below the coalesce depth; at the depth
+  // itself the scan must run, or the sample is admitted instead of merged.
+  const SvcConfig config = TestConfig();
+  MemStore store;
+  DetectionService service(config, &store);
+  service.Recover();
+  ASSERT_TRUE(service.AdvanceTick(0));
+  const auto offer = [&](Tick tick) {
+    SvcSample s;
+    s.tenant = 1;
+    s.tick = tick;
+    s.access_num = 2400;
+    s.miss_num = 600;
+    s.offset = static_cast<std::uint64_t>(tick) + 1;
+    return service.Offer(s);
+  };
+  Tick tick = 0;
+  while (service.queue_depth() < config.admission.coalesce_depth) {
+    ASSERT_TRUE(offer(tick++));
+  }
+  EXPECT_EQ(service.accounting().coalesced, 0u);
+  ASSERT_TRUE(offer(tick++));
+  EXPECT_EQ(service.accounting().coalesced, 1u);
+  EXPECT_EQ(service.queue_depth(), config.admission.coalesce_depth);
+}
+
 TEST(ServiceTest, RepeatInsaneOffenderIsQuarantined) {
   SvcConfig config = TestConfig();
   config.admission.quarantine_offense_threshold = 3;
@@ -228,6 +255,31 @@ TEST(ServiceTest, ConfigChangeOrphansDurableState) {
   EXPECT_EQ(restarted.incarnation().checkpoint_status,
             obs::SnapshotStatus::kBadFingerprint);
   EXPECT_EQ(restarted.accounting().offered, 0u);
+}
+
+TEST(ServiceTest, ColdStartOverAnUnreadableWalKeepsLaterFrames) {
+  // A WAL whose first frame no scan can read (here a bad checksum, as a
+  // frame sealed by an older release reads) recovers nothing. The frames
+  // the cold-started service logs next must not sit behind those bytes,
+  // or a crash before its first checkpoint loses all of them.
+  const auto feed = BuildFeed(3, 10, 5, 7);
+  MemStore store;
+  const std::string unreadable =
+      std::string("\x04\0\0\0", 4) + std::string(8, '\x5a') + "old!";
+  ASSERT_TRUE(store.AppendWal(unreadable));
+  DetectionService service(TestConfig(), &store);
+  EXPECT_FALSE(service.Recover());
+  EXPECT_EQ(service.incarnation().recovery_wal_stop, WalScanStop::kBadChecksum);
+  ASSERT_TRUE(DriveFeed(service, feed, 10));  // fewer ticks than a checkpoint
+  ASSERT_GT(store.ReadWal().size(), 0u);
+
+  MemStore restarted_store = store.Reincarnate();
+  DetectionService restarted(TestConfig(), &restarted_store);
+  ASSERT_TRUE(restarted.Recover());
+  EXPECT_EQ(restarted.incarnation().recovery_wal_stop, WalScanStop::kCleanEnd);
+  EXPECT_EQ(restarted.transport_watermark(), service.transport_watermark());
+  EXPECT_EQ(restarted.accounting(), service.accounting());
+  EXPECT_EQ(restarted.decision_log(), service.decision_log());
 }
 
 TEST(ServiceTest, DeadServiceRefusesEveryMutation) {

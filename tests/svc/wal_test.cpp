@@ -60,7 +60,7 @@ void AppendU64(std::string* out, std::uint64_t v) {
 std::string FrameAround(const std::string& payload) {
   std::string frame;
   AppendU32(&frame, static_cast<std::uint32_t>(payload.size()));
-  AppendU64(&frame, Fnv1a(payload));
+  AppendU64(&frame, Checksum64(payload));
   frame += payload;
   return frame;
 }

@@ -24,7 +24,10 @@ std::string StatsJson(const Result& result) {
   for (const auto& [rule, count] : s.rule_hits) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(rule) + "\":" + std::to_string(count);
+    out += '"';
+    out += JsonEscape(rule);
+    out += "\":";
+    out += std::to_string(count);
   }
   out += "}}";
   return out;
